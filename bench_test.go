@@ -129,7 +129,9 @@ func BenchmarkFleetReplay(b *testing.B) {
 // state: with histogram latency accounting its peak heap is flat in
 // the trace length (EXPERIMENTS.md records the measured numbers, and
 // TestStreamFlatHeapAcrossTraceSizes enforces the property in CI).
-// Run with:
+// At 1M requests the scenario variant replays a compiled four-tenant
+// flash-crowd plan: the shaped path, whose placement pass reads the
+// plan's timing-only pod scan. Run with:
 //
 //	go test -run '^$' -bench BenchmarkFleetStream -benchmem -benchtime 1x .
 func BenchmarkFleetStream(b *testing.B) {
@@ -205,6 +207,32 @@ func BenchmarkFleetStream(b *testing.B) {
 			})
 			b.SetBytes(int64(requests))
 		})
+		if requests == 1_000_000 {
+			b.Run(name+"/scenario", func(b *testing.B) {
+				sc, ok := scenario.ByName("flash-crowd")
+				if !ok {
+					b.Fatal("flash-crowd scenario missing")
+				}
+				plan, err := sc.Compile(scenario.Config{Base: gen, Tenants: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				peakHeap(b, func() {
+					for i := 0; i < b.N; i++ {
+						rep, err := fleet.SimulatePlanStream(context.Background(), fleetCfg(b), plan)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if rep.Served == 0 {
+							b.Fatal("no requests served")
+						}
+					}
+				})
+				b.SetBytes(int64(requests))
+			})
+		}
 		b.Run(name+"/streamed-fixedpods", func(b *testing.B) {
 			b.ReportAllocs()
 			peakHeap(b, func() {

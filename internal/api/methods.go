@@ -117,7 +117,10 @@ func BuiltinRegistry() *Registry {
 // heartbeats on a simulate job's event stream.
 const progressEvery = 100000
 
-// countingStream decorates a trace stream with progress emission.
+// countingStream decorates a trace stream with progress emission. The
+// stream countingSource returns has exactly the optional fast paths of
+// the stream it wraps (the variants below), so the simulator takes the
+// same path through the wrapper as it would without it.
 type countingStream struct {
 	trace.Stream
 	rt    *Runtime
@@ -128,13 +131,58 @@ type countingStream struct {
 func (c *countingStream) Next() (trace.Request, bool) {
 	req, ok := c.Stream.Next()
 	if ok {
-		c.n++
-		if c.n%progressEvery == 0 {
-			_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: c.n})
-		}
+		c.pulled()
 	}
 	return req, ok
 }
+
+func (c *countingStream) pulled() {
+	c.n++
+	if c.n%progressEvery == 0 {
+		_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: c.n})
+	}
+}
+
+// podScan forwards the wrapped stream's pod scan and reports the
+// scanned request total as one progress event: a placement pass that
+// scans pulls no requests, but its phase still shows on the job's
+// event stream.
+func (c *countingStream) podScan(ps trace.PodScanner) []trace.PodMeta {
+	metas := ps.PodScan()
+	total := 0
+	for _, m := range metas {
+		total += m.NReqs
+	}
+	_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: total})
+	return metas
+}
+
+type countingIntoStream struct {
+	*countingStream
+	into func(*trace.Request) bool
+}
+
+func (c countingIntoStream) NextInto(r *trace.Request) bool {
+	if !c.into(r) {
+		return false
+	}
+	c.pulled()
+	return true
+}
+
+type countingScanStream struct {
+	*countingStream
+	ps trace.PodScanner
+}
+
+func (c countingScanStream) PodScan() []trace.PodMeta { return c.podScan(c.ps) }
+
+type countingIntoScanStream struct {
+	countingIntoStream
+	ps trace.PodScanner
+}
+
+func (c countingIntoScanStream) PodScan() []trace.PodMeta { return c.podScan(c.ps) }
 
 // countingSource wraps a source so each opened stream emits progress
 // heartbeats. The streaming simulator opens its input twice — the
@@ -153,7 +201,18 @@ func (rt *Runtime) countingSource(src trace.Source) trace.Source {
 		if opens > 1 {
 			phase = "replay"
 		}
-		return &countingStream{Stream: s, rt: rt, phase: phase}, nil
+		c := &countingStream{Stream: s, rt: rt, phase: phase}
+		is, into := s.(trace.IntoStream)
+		ps, scan := s.(trace.PodScanner)
+		switch {
+		case into && scan:
+			return countingIntoScanStream{countingIntoStream{c, is.NextInto}, ps}, nil
+		case into:
+			return countingIntoStream{c, is.NextInto}, nil
+		case scan:
+			return countingScanStream{c, ps}, nil
+		}
+		return c, nil
 	}
 }
 

@@ -110,9 +110,10 @@ func (ix *podIndex) get(id int) *pod {
 // every pod in order of first arrival, with its flavor, extent, and
 // request count — but no per-request state. When the stream can
 // enumerate its pods directly (trace.PodScanner — calibrated generator
-// streams can, from a timing-only walk), the per-request scan is
-// skipped entirely; the metadata is identical by the generator's
-// contract, which TestPodScanMatchesRequestScan pins. Otherwise it
+// and scenario streams can, from a timing-only walk), the per-request
+// scan is skipped entirely; the metadata is identical by the
+// generator's and the re-timer's contracts, which
+// TestPodScanMatchesRequestScan pins. Otherwise it
 // enforces the same input contract as the batch path's buildPods:
 // requests sorted by arrival, per-pod flavors constant. Cancelling ctx
 // stops the scan within cancelCheckMask+1 pulls.
@@ -145,7 +146,7 @@ func scanPods(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 }
 
 // scanPodsSlow is the per-request fallback scan for streams that cannot
-// enumerate their pods (recorded traces, scenario-re-timed streams).
+// enumerate their pods, such as recorded traces.
 func scanPodsSlow(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 	byID := make(map[int]*pod)
 	var pods []*pod
@@ -297,7 +298,15 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 	for i := range shards {
 		shards[i] = make(chan []streamItem, streamChannelDepth)
 	}
-	batchPool := sync.Pool{New: func() any { return make([]streamItem, 0, streamBatchSize) }}
+	// Drained batches recycle through a free list that dies with this
+	// call. A process-wide sync.Pool would keep them, and the *pod
+	// pointers in their backing arrays, past the next GC: one stale
+	// pointer into the shared pod array pins every pod, sandbox and
+	// decider of a finished simulation. The list is a stack, so the
+	// feeder refills the most recently drained batch, the one likeliest
+	// still in cache.
+	var freeMu sync.Mutex
+	var free [][]streamItem
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -316,7 +325,9 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 					}
 					sim.feed(it.p, &it.r)
 				}
-				batchPool.Put(batch[:0]) //nolint:staticcheck // slice reuse is the point
+				freeMu.Lock()
+				free = append(free, batch[:0])
+				freeMu.Unlock()
 			}
 			for h, sim := range sims {
 				results[h] = sim.finish()
@@ -356,7 +367,14 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 		sh := p.host % workers
 		b := batches[sh]
 		if b == nil {
-			b = batchPool.Get().([]streamItem)
+			freeMu.Lock()
+			if n := len(free); n > 0 {
+				b, free = free[n-1], free[:n-1]
+			}
+			freeMu.Unlock()
+			if b == nil {
+				b = make([]streamItem, 0, streamBatchSize)
+			}
 		}
 		b = append(b, streamItem{p: p, r: r})
 		if len(b) >= streamBatchSize {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -367,49 +370,201 @@ func TestSimulateStreamCancelBounded(t *testing.T) {
 }
 
 // TestPodScanMatchesRequestScan pins the PodScanner fast path: the pod
-// metadata a calibrated generator stream enumerates from its timing-only
-// walk must exactly equal what the per-request fallback scan
-// reconstructs from the emitted requests — same pods, same order, same
-// flavors, extents, and request counts.
+// metadata a calibrated generator stream or a scenario stream
+// enumerates from its timing-only walk must exactly equal what the
+// per-request fallback scan reconstructs from the emitted requests —
+// same pods, same order, same flavors, extents, and request counts. It
+// covers the raw generator and every catalog scenario with one and four
+// tenants on two seeds, through compiled plans and scenario sources.
 func TestPodScanMatchesRequestScan(t *testing.T) {
-	cfg := trace.DefaultGeneratorConfig()
-	cfg.Requests = 20000
-	cfg.Functions = 150
-	cfg.Seed = 99
-	src := trace.GenerateSource(cfg)
-
-	s1, err := src()
-	if err != nil {
-		t.Fatal(err)
+	type scanCase struct {
+		name string
+		src  trace.Source
 	}
-	if _, ok := s1.(trace.PodScanner); !ok {
-		t.Fatal("calibrated generator stream does not implement PodScanner")
-	}
-	fast, fastTotal, err := scanPods(context.Background(), s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := src()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, slowTotal, err := scanPodsSlow(context.Background(), s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fastTotal != slowTotal {
-		t.Fatalf("request totals differ: fast %d, slow %d", fastTotal, slowTotal)
-	}
-	if len(fast) != len(slow) {
-		t.Fatalf("pod counts differ: fast %d, slow %d", len(fast), len(slow))
-	}
-	for i := range fast {
-		f, s := fast[i], slow[i]
-		if f.id != s.id || f.fnID != s.fnID || f.vcpu != s.vcpu || f.memMB != s.memMB ||
-			f.initMs != s.initMs || f.first != s.first || f.last != s.last || f.nreqs != s.nreqs {
-			t.Fatalf("pod %d differs:\nfast: %+v\nslow: %+v", i, *f, *s)
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 20000
+	gen.Functions = 150
+	gen.Seed = 99
+	cases := []scanCase{{"raw", trace.GenerateSource(gen)}}
+	for _, sc := range scenario.Catalog() {
+		for _, tenants := range []int{1, 4} {
+			for _, seed := range []uint64{7, 20260613} {
+				scfg := scenario.DefaultConfig()
+				scfg.Base.Requests = 10000
+				scfg.Base.Seed = seed
+				scfg.Tenants = tenants
+				plan, err := sc.Compile(scfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/tenants=%d/seed=%d", sc.Name, tenants, seed)
+				cases = append(cases,
+					scanCase{name + "/plan", plan.Source()},
+					scanCase{name + "/source", sc.Source(scfg)})
+			}
 		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s1, err := tc.src()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s1.(trace.PodScanner); !ok {
+				t.Fatal("stream does not implement trace.PodScanner")
+			}
+			fast, fastTotal, err := scanPods(context.Background(), s1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := tc.src()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, slowTotal, err := scanPodsSlow(context.Background(), s2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fastTotal != slowTotal {
+				t.Fatalf("request totals differ: fast %d, slow %d", fastTotal, slowTotal)
+			}
+			if len(fast) != len(slow) {
+				t.Fatalf("pod counts differ: fast %d, slow %d", len(fast), len(slow))
+			}
+			for i := range fast {
+				f, s := fast[i], slow[i]
+				if f.id != s.id || f.fnID != s.fnID || f.vcpu != s.vcpu || f.memMB != s.memMB ||
+					f.initMs != s.initMs || f.first != s.first || f.last != s.last || f.nreqs != s.nreqs {
+					t.Fatalf("pod %d differs:\nfast: %+v\nslow: %+v", i, *f, *s)
+				}
+			}
+		})
+	}
+}
+
+// pullCounter counts what a simulation asks of its source. The streams
+// it opens have exactly the optional interfaces of the streams they
+// wrap, so the simulator takes the same path through them.
+type pullCounter struct{ opens, pulls, scans int }
+
+func (c *pullCounter) source(src trace.Source) trace.Source {
+	return func() (trace.Stream, error) {
+		s, err := src()
+		if err != nil {
+			return nil, err
+		}
+		c.opens++
+		cs := &countedStream{Stream: s, c: c}
+		is, into := s.(trace.IntoStream)
+		ps, scan := s.(trace.PodScanner)
+		switch {
+		case into && scan:
+			return countedIntoScan{countedInto{cs, is}, ps}, nil
+		case into:
+			return countedInto{cs, is}, nil
+		case scan:
+			return countedScan{cs, ps}, nil
+		}
+		return cs, nil
+	}
+}
+
+type countedStream struct {
+	trace.Stream
+	c *pullCounter
+}
+
+func (s *countedStream) Next() (trace.Request, bool) {
+	r, ok := s.Stream.Next()
+	if ok {
+		s.c.pulls++
+	}
+	return r, ok
+}
+
+type countedInto struct {
+	*countedStream
+	is trace.IntoStream
+}
+
+func (s countedInto) NextInto(r *trace.Request) bool {
+	ok := s.is.NextInto(r)
+	if ok {
+		s.c.pulls++
+	}
+	return ok
+}
+
+type countedScan struct {
+	*countedStream
+	ps trace.PodScanner
+}
+
+func (s countedScan) PodScan() []trace.PodMeta {
+	s.c.scans++
+	return s.ps.PodScan()
+}
+
+type countedIntoScan struct {
+	countedInto
+	ps trace.PodScanner
+}
+
+func (s countedIntoScan) PodScan() []trace.PodMeta {
+	s.c.scans++
+	return s.ps.PodScan()
+}
+
+// TestSimulateStreamPullsScenarioOnce checks that one simulation over a
+// scenario source synthesizes each request exactly once: the placement
+// pass takes the stream's pod scan and pulls nothing, at one worker and
+// at several.
+func TestSimulateStreamPullsScenarioOnce(t *testing.T) {
+	sc, ok := scenario.ByName("flash-crowd")
+	if !ok {
+		t.Fatal("flash-crowd scenario missing")
+	}
+	scfg := scenario.DefaultConfig()
+	scfg.Base.Requests = 20000
+	scfg.Tenants = 4
+	plan, err := sc.Compile(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		var c pullCounter
+		rep, err := SimulateStream(context.Background(), streamTestConfig(t, "least-loaded", workers), c.source(plan.Source()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests != scfg.Base.Requests || c.opens != 2 || c.scans != 1 || c.pulls != scfg.Base.Requests {
+			t.Errorf("workers=%d: %d requests simulated; %d opens, %d scans, %d pulls; want %d requests, 2 opens, 1 scan, %d pulls",
+				workers, rep.Requests, c.opens, c.scans, c.pulls, scfg.Base.Requests, scfg.Base.Requests)
+		}
+	}
+}
+
+// TestSimulateStreamReleasesRun pins that a finished multi-worker
+// simulation leaves nothing of itself reachable. Its routed batches
+// hold *pod pointers into the pod array every pod shares, so one batch
+// kept past the call (a sync.Pool keeps its contents through the next
+// GC) pins every pod, sandbox and decider of the run.
+func TestSimulateStreamReleasesRun(t *testing.T) {
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 500_000
+	src := trace.GenerateSource(gen)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	liveHeap() // drop what earlier tests left to the collector
+	before := liveHeap()
+	if _, err := SimulateStream(context.Background(), streamTestConfig(t, "least-loaded", 2), src); err != nil {
+		t.Fatal(err)
+	}
+	if after := liveHeap(); after > before+1<<20 {
+		t.Errorf("live heap %d B after the run, %d B before: the finished simulation is still reachable", after, before)
 	}
 }

@@ -291,10 +291,7 @@ func (s Scenario) Trace(cfg Config) (*trace.Trace, error) {
 // past keep-alive windows, bursts collapse it — while pod membership,
 // ordering, durations, and flavors are untouched.
 func retime(tr *trace.Trace, shape Shape, horizon time.Duration, seed uint64) {
-	mean := meanRate(shape)
-	if mean <= 0 {
-		mean = 1 // degenerate all-zero shape: treat as steady
-	}
+	mean := shapeMean(shape)
 	h := horizon.Seconds()
 
 	// Group request indices by function, preserving arrival order
@@ -312,20 +309,10 @@ func retime(tr *trace.Trace, shape Shape, horizon time.Duration, seed uint64) {
 
 	for _, fn := range fns {
 		idxs := byFn[fn]
-		rng := stats.NewRand(mix(seed, uint64(fn)+1))
-		gapMean := h / float64(len(idxs))
-		t := 0.0 // seconds
+		clock := newRenewal(shape, mean, seed, fn, len(idxs), h)
 		for _, ri := range idxs {
-			x := t / h
-			x -= math.Floor(x)
-			lam := shape.Rate(x) / mean
-			if lam < intensityFloor || math.IsNaN(lam) {
-				lam = intensityFloor
-			}
-			t += rng.Exp(gapMean / lam)
 			r := &tr.Requests[ri]
-			r.Start = time.Duration(t * float64(time.Second))
-			t += r.Duration.Seconds()
+			r.Start = clock.arrive(r.Duration)
 		}
 	}
 	// Ties (same-nanosecond re-timed arrivals from different functions)
@@ -337,6 +324,15 @@ func retime(tr *trace.Trace, shape Shape, horizon time.Duration, seed uint64) {
 		}
 		return tr.Requests[a].FnID < tr.Requests[b].FnID
 	})
+}
+
+// shapeMean is shape's mean intensity, the normalizer of its renewal
+// clocks.
+func shapeMean(shape Shape) float64 {
+	if mean := meanRate(shape); mean > 0 {
+		return mean
+	}
+	return 1 // degenerate all-zero shape: treat as steady
 }
 
 // mix derives a decorrelated splitmix-style stream seed from (seed,

@@ -19,48 +19,77 @@ import (
 
 // intensityFloor bounds how far a dead zone of a shape can stretch
 // inter-arrival gaps (10^4×), so traces terminate even under shapes
-// that are zero almost everywhere. Shared by the in-place re-timer and
-// the streaming one.
+// that are zero almost everywhere.
 const intensityFloor = 1e-4
 
-// retimeStream lazily re-times one function's generator stream as a
-// shape-modulated renewal process, applying the tenant's function- and
-// pod-ID offsets on the way out. Arrival times are strictly
-// increasing, so the stream satisfies the trace.Stream ordering
-// contract and can be merged with its siblings.
+// renewal is one function's shape-modulated renewal clock: the gap to
+// each request scales inversely with the shape's local intensity, and
+// the request's execution then advances the clock. The in-place
+// re-timer, the streaming re-timer and the pod scan all step it.
+type renewal struct {
+	shape   Shape
+	mean    float64 // shape's mean intensity (normalizer)
+	rng     *stats.Rand
+	h       float64 // horizon seconds
+	gapMean float64 // base mean gap: horizon / function request count
+	t       float64 // clock, seconds
+}
+
+// newRenewal starts the clock of function fn (unshifted, as its
+// generator numbers it), which has n requests, on the tenant's shape
+// seed.
+func newRenewal(shape Shape, mean float64, seed uint64, fn, n int, h float64) renewal {
+	return renewal{
+		shape:   shape,
+		mean:    mean,
+		rng:     stats.NewRand(mix(seed, uint64(fn)+1)),
+		h:       h,
+		gapMean: h / float64(n),
+	}
+}
+
+// arrive returns the arrival of the function's next request, which runs
+// for dur, and advances the clock past its execution.
+func (c *renewal) arrive(dur time.Duration) time.Duration {
+	x := c.t / c.h
+	x -= math.Floor(x)
+	lam := c.shape.Rate(x) / c.mean
+	if lam < intensityFloor || math.IsNaN(lam) {
+		lam = intensityFloor
+	}
+	c.t += c.rng.Exp(c.gapMean / lam)
+	start := time.Duration(c.t * float64(time.Second))
+	c.t += dur.Seconds()
+	return start
+}
+
+// retimeStream lazily re-times one function's generator stream on its
+// renewal clock, applying the tenant's function- and pod-ID offsets on
+// the way out. Arrival times are strictly increasing, so the stream
+// satisfies the trace.Stream ordering contract and can be merged with
+// its siblings.
 type retimeStream struct {
 	src      *trace.FunctionStream
-	shape    Shape
-	mean     float64 // shape's mean intensity (normalizer)
-	rng      *stats.Rand
-	h        float64 // horizon seconds
-	gapMean  float64 // base mean gap: horizon / function request count
-	t        float64 // renewal clock, seconds
+	clock    renewal
 	fnShift  int
 	podShift int
 }
 
-// Next re-times the function's next request: the gap to it scales
-// inversely with the shape's local intensity, then the request's
-// execution time advances the renewal clock, exactly as retime does in
-// place.
 func (rs *retimeStream) Next() (trace.Request, bool) {
-	r, ok := rs.src.Next()
-	if !ok {
-		return trace.Request{}, false
+	var r trace.Request
+	ok := rs.NextInto(&r)
+	return r, ok
+}
+
+// NextInto is the trace.IntoStream fast path the merge pulls through.
+func (rs *retimeStream) NextInto(r *trace.Request) bool {
+	if !rs.src.NextInto(r) {
+		return false
 	}
-	x := rs.t / rs.h
-	x -= math.Floor(x)
-	lam := rs.shape.Rate(x) / rs.mean
-	if lam < intensityFloor || math.IsNaN(lam) {
-		lam = intensityFloor
-	}
-	rs.t += rs.rng.Exp(rs.gapMean / lam)
-	r.Start = time.Duration(rs.t * float64(time.Second))
-	rs.t += r.Duration.Seconds()
+	r.Start = rs.clock.arrive(r.Duration)
 	r.FnID += rs.fnShift
 	r.PodID += rs.podShift
-	return r, true
+	return true
 }
 
 // streamPlan is one tenant's reusable streaming state: its allocation,
@@ -86,38 +115,71 @@ func (s Scenario) streamPlans(cfg Config) ([]streamPlan, error) {
 	out := make([]streamPlan, len(plans))
 	podBase := 0
 	for i, pl := range plans {
-		mean := meanRate(pl.shape)
-		if mean <= 0 {
-			mean = 1 // degenerate all-zero shape: treat as steady
-		}
-		out[i] = streamPlan{pl: pl, cal: trace.Calibrate(pl.gcfg), mean: mean, podBase: podBase}
+		out[i] = streamPlan{pl: pl, cal: trace.Calibrate(pl.gcfg), mean: shapeMean(pl.shape), podBase: podBase}
 		podBase += out[i].cal.Pods()
 	}
 	return out, nil
 }
 
-// open instantiates one fresh merged stream over calibrated plans.
+// clock starts the tenant's renewal clock for function fn, which has n
+// requests.
+func (sp *streamPlan) clock(fn, n int, h float64) renewal {
+	return newRenewal(sp.pl.shape, sp.mean, sp.pl.shapeSeed, fn, n, h)
+}
+
+// openStream instantiates one fresh stream over calibrated plans. The
+// stream is a trace.PodScanner, so the cluster simulator's placement
+// pass synthesizes no request and builds no merge.
 func openStream(plans []streamPlan, horizon time.Duration) trace.Stream {
 	h := horizon.Seconds()
+	return trace.WithPodScan(
+		func() trace.Stream { return mergePlans(plans, h) },
+		func() []trace.PodMeta { return scanPods(plans, h) })
+}
+
+// mergePlans merges every tenant's re-timed function streams.
+func mergePlans(plans []streamPlan, h float64) trace.Stream {
 	var srcs []trace.Stream
-	for _, sp := range plans {
+	for i := range plans {
+		sp := &plans[i]
 		for _, f := range sp.cal.Streams() {
 			if f.Len() == 0 {
 				continue // a function with no requests re-times to nothing
 			}
 			srcs = append(srcs, &retimeStream{
 				src:      f,
-				shape:    sp.pl.shape,
-				mean:     sp.mean,
-				rng:      stats.NewRand(mix(sp.pl.shapeSeed, uint64(f.FnID())+1)),
-				h:        h,
-				gapMean:  h / float64(f.Len()),
+				clock:    sp.clock(f.FnID(), f.Len(), h),
 				fnShift:  sp.pl.fnBase,
 				podShift: sp.podBase,
 			})
 		}
 	}
 	return trace.Merge(srcs...)
+}
+
+// scanPods lists the pods of the plans' stream: every tenant's
+// functions walk their timing draws alone, through the same renewal
+// clocks the stream's re-timers run, and the tenant's ID offsets apply
+// as they do on the way out of a retimeStream.
+func scanPods(plans []streamPlan, h float64) []trace.PodMeta {
+	pods := 0
+	for _, sp := range plans {
+		pods += sp.cal.Pods()
+	}
+	metas := make([]trace.PodMeta, 0, pods)
+	for i := range plans {
+		sp := &plans[i]
+		from := len(metas)
+		metas = sp.cal.AppendPodMetas(metas, func(fn, n int) trace.Clock {
+			c := sp.clock(fn, n, h)
+			return c.arrive
+		})
+		for j := from; j < len(metas); j++ {
+			metas[j].ID += sp.podBase
+			metas[j].FnID += sp.pl.fnBase
+		}
+	}
+	return metas
 }
 
 // Stream synthesizes the scenario's trace as a time-ordered request
@@ -139,7 +201,8 @@ func (s Scenario) Stream(cfg Config) (trace.Stream, error) {
 // fleet.SimulateStream consumes, which opens its input once for the
 // placement scan and once for the replay. Tenant resolution, the
 // generator calibration sweeps, and shape-mean sampling run once, up
-// front; each open only pays for lazy emission. Validation errors
+// front; an open pays only for lazy emission, or for the timing-only
+// pod scan when the placement pass asks for one. Validation errors
 // surface on open.
 func (s Scenario) Source(cfg Config) trace.Source {
 	plans, err := s.streamPlans(cfg)

@@ -256,176 +256,131 @@ func utilSeed(seed uint64, fn int) uint64 {
 	return stats.MixSeed(stats.MixSeed(seed, 2), uint64(fn))
 }
 
-// fnEmitter generates one function's request block pod by pod. Both the
-// materialized path (Generate) and the streaming path (GenerateStream,
-// GenerateByFunction) drive their draws through this one type, so the
-// pseudo-random draw order — and therefore the emitted trace — is
-// identical by construction.
-type fnEmitter struct {
-	timing    *stats.Rand // pod/arrival/duration stream
-	util      *stats.Rand // per-request utilization stream
-	p         fnProfile
-	fn        int
-	corr      float64 // cfg.UtilCorrelation
-	remaining int
-	arrival   float64 // ms offset of the next request
-	podID     int     // id of the most recently generated pod (global numbering)
+// timingWalk steps one function through its private timing stream: pod
+// boundaries, cold-start inits, durations, and arrivals, drawn in the
+// one order every consumer of the stream shares. Emission (fnEmitter),
+// the calibration sweep, and the pod scans are all built on step, so
+// they see the same trace shape by construction; only emission goes on
+// to draw utilizations, from the function's separate stream.
+type timingWalk struct {
+	rng       *stats.Rand
+	p         fnProfile // a copy, kept next to the walk's state for locality
+	remaining int       // requests not yet dealt to a pod
+	podLeft   int       // requests of the current pod still to walk
+	next      float64   // ms arrival of the next request
 
-	podLeft  int     // requests still to emit from the current pod
-	podFirst bool    // next emission is the pod's cold-start request
-	initMs   float64 // current pod's initialization draw
+	// The request the last step walked.
+	arrivalMs float64
+	durMs     float64 // raw duration, floored at 0.05 ms
+	cold      bool    // the request opens its pod
+	podReqs   int     // its pod's request count
+	initMs    float64 // its pod's initialization draw
 }
 
-// newFnEmitter positions an emitter at the start of function fn's
-// generation block, deriving the function's private streams from the
-// trace seed. It consumes the block-leading arrival-offset draw.
-func newFnEmitter(seed uint64, fn int, p fnProfile, count int, corr float64, podBase int) *fnEmitter {
-	timing := stats.NewRand(timingSeed(seed, fn))
-	return &fnEmitter{
-		timing:    timing,
-		util:      stats.NewRand(utilSeed(seed, fn)),
-		p:         p,
-		fn:        fn,
-		corr:      corr,
-		remaining: count,
-		arrival:   timing.Uniform(0, 60_000), // ms offset for function's first pod
-		podID:     podBase,
-	}
+// newTimingWalk positions a walk at the start of function fn's block.
+// It consumes the block-leading arrival-offset draw.
+func newTimingWalk(seed uint64, fn int, p fnProfile, count int) timingWalk {
+	rng := stats.NewRand(timingSeed(seed, fn))
+	return timingWalk{rng: rng, p: p, remaining: count, next: rng.Uniform(0, 60_000)}
 }
 
-// next writes the function's next raw (unrescaled) request into *r and
-// reports whether one was emitted; the function's request budget
-// exhausts to false. Within a pod, requests are emitted in strictly
-// increasing arrival order, and consecutive pods never move backwards
-// in time, so a function's whole emission is time-ordered. Emitting
-// straight into the caller's Request keeps the hot path free of
-// per-pod buffers (and their reallocation churn).
-//
-// The timing draws here (pod size, init, durations, think times, gap)
-// must stay in lockstep with timingEmitter.nextPod, which walks the
-// same stream without materializing requests.
-func (e *fnEmitter) next(r *Request) bool {
-	if e.podLeft == 0 {
-		if e.remaining <= 0 {
+// step walks the function's next request and reports whether there was
+// one; the function's request budget exhausts to false. Within a pod,
+// arrivals strictly increase, and consecutive pods never move backwards
+// in time, so a function's whole walk is time-ordered.
+func (w *timingWalk) step() bool {
+	w.cold = w.podLeft == 0
+	if w.cold {
+		if w.remaining <= 0 {
 			return false
 		}
-		e.podID++
-		size := podSize(e.timing, e.p.podSizeMean)
-		if size > e.remaining {
-			size = e.remaining
-		}
-		e.initMs = math.Max(20, e.timing.Normal(e.p.initMs, e.p.initMs*0.25))
-		e.podLeft = size
-		e.podFirst = true
-		e.remaining -= size
+		w.podReqs = min(podSize(w.rng, w.p.podSizeMean), w.remaining)
+		w.initMs = math.Max(20, w.rng.Normal(w.p.initMs, w.p.initMs*0.25))
+		w.podLeft = w.podReqs
+		w.remaining -= w.podReqs
 	}
-	durMs := e.timing.LogNormal(e.p.logMeanDur, e.p.sigma)
-	if durMs < 0.05 {
-		durMs = 0.05
-	}
-	cpuU, memU := correlatedUtils(e.util, &e.p, e.corr)
-	*r = Request{
-		FnID:       e.fn,
-		PodID:      e.podID,
-		Start:      time.Duration(e.arrival * float64(time.Millisecond)),
-		Duration:   time.Duration(durMs * float64(time.Millisecond)),
-		AllocCPU:   e.p.flavor.VCPU,
-		AllocMemMB: e.p.flavor.MemMB,
-		MemUsedMB:  memU * e.p.flavor.MemMB,
-	}
-	r.CPUTime = time.Duration(cpuU * e.p.flavor.VCPU * durMs * float64(time.Millisecond))
-	if e.podFirst {
-		r.ColdStart = true
-		r.InitDuration = time.Duration(e.initMs * float64(time.Millisecond))
-		e.podFirst = false
+	w.arrivalMs = w.next
+	w.durMs = w.rng.LogNormal(w.p.logMeanDur, w.p.sigma)
+	if w.durMs < 0.05 {
+		w.durMs = 0.05
 	}
 	// Next arrival within the pod: short think time keeps the pod warm;
 	// occasionally long gaps end pods in reality but pod membership is
 	// already decided here.
-	e.arrival += durMs + e.timing.Exp(200)
-	e.podLeft--
-	if e.podLeft == 0 {
-		e.arrival += e.timing.Exp(2000) // idle gap between pods
+	w.next += w.durMs + w.rng.Exp(200)
+	w.podLeft--
+	if w.podLeft == 0 {
+		w.next += w.rng.Exp(2000) // idle gap between pods
 	}
 	return true
 }
 
-// timingEmitter walks a function's timing stream without drawing
-// utilizations or materializing requests: the shape of the emission —
-// pod boundaries, arrivals, truncated durations — at a fraction of full
-// generation's cost. The calibration sweep (scale == 0) and the
-// pod-metadata scan (scale > 0) both use it; its draw sequence must
-// stay in lockstep with fnEmitter.nextPod's timing draws.
-type timingEmitter struct {
-	rng       *stats.Rand
-	p         fnProfile
-	remaining int
-	arrival   float64
+// start, duration, and init are the walked request's arrival, raw
+// duration, and pod initialization at nanosecond resolution.
+func (w *timingWalk) start() time.Duration {
+	return time.Duration(w.arrivalMs * float64(time.Millisecond))
 }
 
-func newTimingEmitter(seed uint64, fn int, p fnProfile, count int) *timingEmitter {
-	rng := stats.NewRand(timingSeed(seed, fn))
-	return &timingEmitter{
-		rng:       rng,
-		p:         p,
-		remaining: count,
-		arrival:   rng.Uniform(0, 60_000),
+func (w *timingWalk) duration() time.Duration {
+	return time.Duration(w.durMs * float64(time.Millisecond))
+}
+
+func (w *timingWalk) init() time.Duration {
+	return time.Duration(w.initMs * float64(time.Millisecond))
+}
+
+// fnEmitter generates one function's requests: each timing step plus
+// the request's utilization pair. Both the materialized path (Generate)
+// and the streaming path (GenerateStream, GenerateByFunction) emit
+// through it, so the emitted trace is identical by construction.
+type fnEmitter struct {
+	timingWalk
+	util  *stats.Rand // per-request utilization stream
+	fn    int
+	corr  float64 // cfg.UtilCorrelation
+	podID int     // id of the most recently opened pod (global numbering)
+}
+
+// newFnEmitter positions an emitter at the start of function fn's
+// block, deriving its two private streams from the trace seed. Its pod
+// IDs continue from podBase.
+func newFnEmitter(seed uint64, fn int, p fnProfile, count int, corr float64, podBase int) *fnEmitter {
+	return &fnEmitter{
+		timingWalk: newTimingWalk(seed, fn, p, count),
+		util:       stats.NewRand(utilSeed(seed, fn)),
+		fn:         fn,
+		corr:       corr,
+		podID:      podBase,
 	}
 }
 
-// podShape is one pod's placement-relevant extent from a timing walk.
-type podShape struct {
-	first    time.Duration
-	init     time.Duration
-	last     time.Duration // latest request turnaround end, scaled
-	nreqs    int
-	durSumMs float64 // sum of truncated raw durations, for calibration
-}
-
-// nextPod walks one pod. With scale > 0 the reported last applies the
-// duration rescale exactly as FunctionStream.Next does (scaling the
-// nanosecond-truncated duration, flooring at 1µs); durSumMs always
-// accumulates the raw truncated durations rescaleDurations averages.
-func (e *timingEmitter) nextPod(scale float64) (podShape, bool) {
-	if e.remaining <= 0 {
-		return podShape{}, false
+// next writes the function's next raw (unrescaled) request into *r and
+// reports whether one was emitted. Emitting straight into the caller's
+// Request keeps the hot path free of per-pod buffers.
+func (e *fnEmitter) next(r *Request) bool {
+	if !e.step() {
+		return false
 	}
-	size := podSize(e.rng, e.p.podSizeMean)
-	if size > e.remaining {
-		size = e.remaining
+	if e.cold {
+		e.podID++
 	}
-	initMs := math.Max(20, e.rng.Normal(e.p.initMs, e.p.initMs*0.25))
-	sh := podShape{
-		first: time.Duration(e.arrival * float64(time.Millisecond)),
-		init:  time.Duration(initMs * float64(time.Millisecond)),
-		nreqs: size,
+	cpuU, memU := correlatedUtils(e.util, &e.p, e.corr)
+	f := e.p.flavor
+	*r = Request{
+		FnID:       e.fn,
+		PodID:      e.podID,
+		Start:      e.start(),
+		Duration:   e.duration(),
+		CPUTime:    time.Duration(cpuU * f.VCPU * e.durMs * float64(time.Millisecond)),
+		AllocCPU:   f.VCPU,
+		AllocMemMB: f.MemMB,
+		MemUsedMB:  memU * f.MemMB,
 	}
-	for j := 0; j < size; j++ {
-		durMs := e.rng.LogNormal(e.p.logMeanDur, e.p.sigma)
-		if durMs < 0.05 {
-			durMs = 0.05
-		}
-		raw := time.Duration(durMs * float64(time.Millisecond))
-		sh.durSumMs += float64(raw) / float64(time.Millisecond)
-		dur := raw
-		if scale > 0 {
-			dur = time.Duration(float64(raw) * scale)
-			if dur <= 0 {
-				dur = time.Microsecond
-			}
-		}
-		end := time.Duration(e.arrival*float64(time.Millisecond)) + dur
-		if j == 0 {
-			end += sh.init
-		}
-		if end > sh.last {
-			sh.last = end
-		}
-		e.arrival += durMs + e.rng.Exp(200)
+	if e.cold {
+		r.ColdStart = true
+		r.InitDuration = e.init()
 	}
-	e.remaining -= size
-	e.arrival += e.rng.Exp(2000)
-	return sh, true
+	return true
 }
 
 // Generate produces a synthetic trace under cfg. The result is sorted by
@@ -532,10 +487,24 @@ func rescaleDurations(reqs []Request, targetMs float64) {
 	}
 	k := targetMs / mean
 	for i := range reqs {
-		reqs[i].Duration = time.Duration(float64(reqs[i].Duration) * k)
-		reqs[i].CPUTime = time.Duration(float64(reqs[i].CPUTime) * k)
-		if reqs[i].Duration <= 0 {
-			reqs[i].Duration = time.Microsecond
-		}
+		reqs[i].rescale(k)
 	}
+}
+
+// rescale scales r's duration and CPU time by k, preserving its
+// utilization rates.
+func (r *Request) rescale(k float64) {
+	r.Duration = scaleDuration(r.Duration, k)
+	r.CPUTime = time.Duration(float64(r.CPUTime) * k)
+}
+
+// scaleDuration rescales one raw duration by k, flooring the result at
+// one microsecond. Emission and the pod scans both go through it, so a
+// pod's extent is computed from exactly the durations its requests
+// carry.
+func scaleDuration(d time.Duration, k float64) time.Duration {
+	if d = time.Duration(float64(d) * k); d <= 0 {
+		return time.Microsecond
+	}
+	return d
 }

@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"slscost/internal/stats"
@@ -142,14 +143,7 @@ func (f *FunctionStream) NextInto(r *Request) bool {
 		return false
 	}
 	if f.scale > 0 {
-		// Mirror rescaleDurations exactly: scale wall clock and CPU time
-		// by the same factor (preserving utilization rates) and floor the
-		// result at one microsecond.
-		r.Duration = time.Duration(float64(r.Duration) * f.scale)
-		r.CPUTime = time.Duration(float64(r.CPUTime) * f.scale)
-		if r.Duration <= 0 {
-			r.Duration = time.Microsecond
-		}
+		r.rescale(f.scale) // exactly as rescaleDurations does
 	}
 	return true
 }
@@ -189,16 +183,24 @@ func Calibrate(cfg GeneratorConfig) *Calibration {
 		counts:   counts,
 		podBases: make([]int, cfg.Functions),
 	}
-	var durSumMs float64
+	// Raw durations sum pod by pod, then the pod sums in order. Float
+	// addition is not associative: another order moves the rescale
+	// factor's last bits, and with them every pinned output.
+	var durSumMs, podSumMs float64
 	pods := 0
 	for fn, p := range profiles {
 		c.podBases[fn] = pods
-		e := newTimingEmitter(cfg.Seed, fn, p, counts[fn])
-		for sh, ok := e.nextPod(0); ok; sh, ok = e.nextPod(0) {
-			durSumMs += sh.durSumMs
-			pods++
+		w := newTimingWalk(cfg.Seed, fn, p, counts[fn])
+		for w.step() {
+			if w.cold {
+				durSumMs += podSumMs
+				podSumMs = 0
+				pods++
+			}
+			podSumMs += float64(w.duration()) / float64(time.Millisecond)
 		}
 	}
+	durSumMs += podSumMs
 	if mean := durSumMs / float64(cfg.Requests); mean > 0 {
 		c.scale = cfg.MeanDurationMs / mean
 	}
@@ -231,13 +233,19 @@ func (c *Calibration) Streams() []*FunctionStream {
 // simulator's placement pass reads pod metadata from a timing-only
 // walk instead of generating (and discarding) every request.
 func (c *Calibration) Stream() Stream {
+	return WithPodScan(c.merge, func() []PodMeta {
+		return c.AppendPodMetas(make([]PodMeta, 0, c.pods), nil)
+	})
+}
+
+// merge builds a fresh merge of the per-function streams.
+func (c *Calibration) merge() Stream {
 	fns := c.Streams()
 	srcs := make([]Stream, len(fns))
 	for i, f := range fns {
 		srcs[i] = f
 	}
-	m := Merge(srcs...)
-	return &calStream{Stream: m, into: NextIntoFunc(m), c: c}
+	return Merge(srcs...)
 }
 
 // PodMeta describes one sandbox of a generated trace: identity, flavor,
@@ -264,53 +272,102 @@ type PodScanner interface {
 	PodScan() []PodMeta
 }
 
-// calStream is the calibrated merged stream; it adds the PodScan fast
-// path to the plain merge and forwards the merge's NextInto.
-type calStream struct {
-	Stream
-	into func(*Request) bool
-	c    *Calibration
+// podScanStream is a stream with the PodScanner fast path.
+type podScanStream struct {
+	open func() Stream
+	into func(*Request) bool // the opened stream's NextInto; nil before the first pull
+	scan func() []PodMeta
 }
 
-func (s *calStream) NextInto(r *Request) bool { return s.into(r) }
+// WithPodScan returns the stream open builds, paired with scan, which
+// lists the stream's pods in any order. The result's PodScan returns
+// them in the order the stream first meets them: ascending first
+// arrival, ties to the lower pod ID. That is the merge's tie order
+// whenever pod IDs ascend with source index, as they do in calibrated
+// generator streams and scenario streams, whose sources are
+// function-major and whose pods are numbered function by function.
+// The stream is built on the first pull, so an opening that is only
+// scanned never builds it.
+func WithPodScan(open func() Stream, scan func() []PodMeta) Stream {
+	return &podScanStream{open: open, scan: scan}
+}
 
-func (s *calStream) PodScan() []PodMeta { return s.c.PodMetas() }
+func (s *podScanStream) Next() (Request, bool) {
+	var r Request
+	ok := s.NextInto(&r)
+	return r, ok
+}
 
-// PodMetas walks every function's timing stream and returns the pods of
-// the calibrated trace in order of first arrival — the order a full
-// scan of the merged stream would first encounter them. The walk draws
-// no utilizations, so it costs a fraction of an emission pass. The
-// slice is freshly built per call; callers own it.
-func (c *Calibration) PodMetas() []PodMeta {
-	metas := make([]PodMeta, 0, c.pods)
-	for fn, p := range c.profiles {
-		e := newTimingEmitter(c.cfg.Seed, fn, p, c.counts[fn])
-		id := c.podBases[fn]
-		for sh, ok := e.nextPod(c.scale); ok; sh, ok = e.nextPod(c.scale) {
-			id++
-			metas = append(metas, PodMeta{
-				ID:    id,
-				FnID:  fn,
-				VCPU:  p.flavor.VCPU,
-				MemMB: p.flavor.MemMB,
-				Init:  sh.init,
-				First: sh.first,
-				Last:  sh.last,
-				NReqs: sh.nreqs,
-			})
-		}
+func (s *podScanStream) NextInto(r *Request) bool {
+	if s.into == nil {
+		s.into = NextIntoFunc(s.open())
 	}
-	// First-appearance order in the merged stream: ascending first
-	// arrival, ties to the lower pod ID — IDs are function-major and the
-	// merge breaks ties toward the lower function index, while within a
-	// function pod arrivals strictly increase.
-	sort.Slice(metas, func(i, j int) bool {
-		if metas[i].First != metas[j].First {
-			return metas[i].First < metas[j].First
-		}
-		return metas[i].ID < metas[j].ID
+	return s.into(r)
+}
+
+func (s *podScanStream) PodScan() []PodMeta {
+	metas := s.scan()
+	slices.SortFunc(metas, func(a, b PodMeta) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.ID, b.ID))
 	})
 	return metas
+}
+
+// A Clock re-times one function's requests: it is handed each request's
+// rescaled duration in generation order and returns the request's
+// arrival. The scenario engine's renewal re-timer is one.
+type Clock func(dur time.Duration) time.Duration
+
+// AppendPodMetas appends the pods of the calibrated trace to dst,
+// function by function, walking each function's timing stream alone:
+// no utilization draws, no requests. With a nil clocks every request
+// keeps the generator's arrival; otherwise clocks(fn, n) supplies the
+// Clock of function fn, which has n requests. Functions without
+// requests are skipped. The pods are in generation order; WithPodScan
+// orders them as a stream meets them.
+func (c *Calibration) AppendPodMetas(dst []PodMeta, clocks func(fn, n int) Clock) []PodMeta {
+	for fn, n := range c.counts {
+		if n == 0 {
+			continue
+		}
+		var clock Clock
+		if clocks != nil {
+			clock = clocks(fn, n)
+		}
+		w := newTimingWalk(c.cfg.Seed, fn, c.profiles[fn], n)
+		f := w.p.flavor
+		id := c.podBases[fn]
+		var m *PodMeta // the pod being walked
+		for w.step() {
+			dur := w.duration()
+			if c.scale > 0 {
+				dur = scaleDuration(dur, c.scale)
+			}
+			start := w.start()
+			if clock != nil {
+				start = clock(dur)
+			}
+			end := start + dur
+			if w.cold {
+				id++
+				init := w.init()
+				dst = append(dst, PodMeta{
+					ID:    id,
+					FnID:  fn,
+					VCPU:  f.VCPU,
+					MemMB: f.MemMB,
+					Init:  init,
+					First: start,
+					Last:  end + init,
+					NReqs: w.podReqs,
+				})
+				m = &dst[len(dst)-1]
+			} else if end > m.Last {
+				m.Last = end
+			}
+		}
+	}
+	return dst
 }
 
 // GenerateByFunction returns one time-ordered stream per function of
@@ -337,9 +394,9 @@ func GenerateStream(cfg GeneratorConfig) Stream {
 }
 
 // GenerateSource returns a Source for the streaming cluster simulator.
-// The calibration sweep runs once, up front; each open then only pays
-// for lazy emission, so the simulator's two-pass protocol costs two
-// emissions, not two calibrations.
+// The calibration sweep runs once, up front; each open then pays only
+// for what the simulator asks of it, so its two-pass protocol costs one
+// timing-only pod scan and one emission, not two calibrations.
 func GenerateSource(cfg GeneratorConfig) Source {
 	c := Calibrate(cfg)
 	return func() (Stream, error) { return c.Stream(), nil }
