@@ -114,13 +114,13 @@ func BenchmarkFleetReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetStream compares the materialized and streaming cluster
-// pipelines at large request counts. Beyond requests/sec (SetBytes)
-// and cumulative B/op (ReportAllocs), each run reports the peak live
-// heap as "peak-heap-MB": the number that caps how large a workload
-// fits in memory. The streamed report is byte-identical to the
-// materialized one (see internal/fleet stream tests); only the
-// resource profile differs.
+// BenchmarkFleetStream runs the cluster replay at large request counts,
+// over a materialized trace (trace.Generate, then fleet.Simulate) and
+// over a lazily generated source. Beyond requests/sec (SetBytes) and
+// cumulative B/op (ReportAllocs), each run reports the peak live heap
+// as "peak-heap-MB": the number that caps how large a workload fits in
+// memory. Both run the one replay pipeline and print the same report;
+// only the resource profile differs.
 //
 // The generator's pod population grows with the trace, so the
 // generator-driven streamed runs still carry O(pods) placement

@@ -19,8 +19,8 @@
 // faults catalog — host crashes, spot preemptions, AZ outages,
 // rolling-deploy drains, correlated cold-start storms. The profile
 // compiles into a per-host schedule keyed to the seed and the scenario
-// horizon, replayed identically on the materialized, streamed, sweep,
-// and differential-replay paths:
+// horizon, replayed identically by single runs, sweeps, and the
+// differential replay:
 //
 //	fleetsim -scenario diurnal -faults chaos -verify
 //
@@ -36,16 +36,20 @@
 //	fleetsim -scenario diurnal -keepalive adaptive -verify
 //	fleetsim -scenario bursty -keepalive bandit
 //
-// -stream runs the same simulation through the streaming pipeline:
-// the workload is synthesized lazily and host shards simulate
-// concurrently with generation, so memory stays bounded by the pod
-// count instead of the request count — the mode for -requests in the
-// tens of millions. The report is byte-identical to the materialized
-// path's. On both paths the printed latency line (mean/p50/p95/p99/
-// max) and the p99 contention slowdown are read from fixed
-// logarithmic histograms (stats.LogHist) merged across hosts: mean
-// and max are exact, percentiles carry ~2.2% bucket resolution, and
-// no per-request samples are ever retained.
+// A single run streams its workload through the cluster simulator: a
+// generated or shaped workload is synthesized lazily and host shards
+// simulate concurrently with generation, so memory stays bounded by
+// the pod count instead of the request count, -requests in the tens
+// of millions included (-verify holds the trace once for the oracle).
+// The printed latency line (mean/p50/p95/p99/max) and the p99
+// contention slowdown are read from fixed logarithmic histograms
+// (stats.LogHist) merged across hosts: mean and max are exact,
+// percentiles carry ~2.2% bucket resolution, and no per-request
+// samples are ever retained.
+//
+// The flags resolve through the api.SimulateParams or api.SweepParams
+// document a -remote run submits to the daemon, so local, remote and
+// distributed runs share one resolver and one set of defaults.
 //
 // -sweep switches from single-run replay to policy optimization
 // (internal/opt): a grid of placement policy × keep-alive TTL ×
@@ -140,30 +144,29 @@ func exitCode(err error) int {
 }
 
 func run(args []string, w io.Writer) error {
+	def := api.DefaultSimulateParams()
 	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
-	hosts := fs.Int("hosts", 32, "number of hosts in the cluster")
-	policy := fs.String("policy", "least-loaded",
+	hosts := fs.Int("hosts", def.Hosts, "number of hosts in the cluster")
+	policy := fs.String("policy", def.Policy,
 		"placement policy: "+strings.Join(fleet.PolicyNames(), ", "))
-	requests := fs.Int("requests", 200000, "synthetic trace size (ignored with -trace)")
-	seed := fs.Uint64("seed", 20260613, "random seed for trace generation and simulation")
-	platform := fs.String("platform", "aws-lambda", "platform profile (see internal/core.Profiles)")
+	requests := fs.Int("requests", def.Requests, "synthetic trace size (ignored with -trace)")
+	seed := fs.Uint64("seed", trace.DefaultGeneratorConfig().Seed, "random seed for trace generation and simulation")
+	platform := fs.String("platform", def.Platform, "platform profile (see internal/core.Profiles)")
 	workers := fs.Int("workers", 0, "host shards simulated concurrently (0 = GOMAXPROCS)")
-	hostVCPU := fs.Float64("host-vcpu", fleet.DefaultHostSpec().VCPU, "per-host vCPU capacity")
-	hostMem := fs.Float64("host-mem", fleet.DefaultHostSpec().MemMB, "per-host memory capacity (MB)")
-	overcommit := fs.Float64("overcommit", 2, "CPU oversubscription ratio the placer packs against (>= 1)")
+	hostVCPU := fs.Float64("host-vcpu", def.HostVCPU, "per-host vCPU capacity")
+	hostMem := fs.Float64("host-mem", def.HostMemMB, "per-host memory capacity (MB)")
+	overcommit := fs.Float64("overcommit", def.Overcommit, "CPU oversubscription ratio the placer packs against (>= 1)")
 	elastic := fs.Bool("elastic", false, "autoscale the active host pool between 1 and -hosts")
 	tracePath := fs.String("trace", "", "replay a CSV trace (tracegen format) instead of generating one")
-	scenarioName := fs.String("scenario", "steady",
+	scenarioName := fs.String("scenario", def.Scenario,
 		"workload scenario: "+strings.Join(scenario.Names(), ", ")+`, or "raw" for the unshaped generator`)
-	tenants := fs.Int("tenants", 1, "fan the scenario into N phase-shifted tenants (>= 1)")
+	tenants := fs.Int("tenants", def.Tenants, "fan the scenario into N phase-shifted tenants (>= 1)")
 	faultsName := fs.String("faults", "",
 		"inject a catalog fault profile: "+strings.Join(faults.Names(), ", "))
 	keepAliveMode := fs.String("keepalive", "static",
 		"per-function keep-alive decision mode: static, adaptive, or bandit (internal/keepalive)")
 	horizon := fs.Duration("horizon", 0, "scenario shape period (0 = auto-scale to the workload)")
 	verify := fs.Bool("verify", false, "cross-check the report against the independent differential replay")
-	stream := fs.Bool("stream", false,
-		"stream the workload through the simulation instead of materializing it (bounded memory at any -requests)")
 	sweep := fs.Bool("sweep", false,
 		"sweep a policy/TTL/overcommit grid over the scenario catalog instead of one replay (internal/opt)")
 	pareto := fs.Bool("pareto", false, "like -sweep, but print only the Pareto frontier (aggregate and per-scenario)")
@@ -194,35 +197,36 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	prof, ok := core.ProfileByName(*platform)
-	if !ok {
-		names := make([]string, 0, len(core.Profiles()))
-		for _, p := range core.Profiles() {
-			names = append(names, p.Name)
-		}
-		return fmt.Errorf("unknown platform %q (have %s)", *platform, strings.Join(names, ", "))
-	}
-	pol, err := fleet.NewPolicy(*policy)
-	if err != nil {
-		return err
-	}
-	// Config treats 0 as "unset"; an explicit CLI value below 1 (0
-	// included) is a user error, not a default.
-	if *overcommit < 1 {
+	// The api reads a zero or empty value as "unset" and substitutes
+	// its default, so an explicit value out of range is rejected here,
+	// in every mode, before anything runs or dials a daemon.
+	switch {
+	case *hosts < 1:
+		return fmt.Errorf("-hosts %d below 1", *hosts)
+	case *requests < 1:
+		return fmt.Errorf("-requests %d below 1", *requests)
+	case !(*hostVCPU > 0):
+		return fmt.Errorf("-host-vcpu %v not positive", *hostVCPU)
+	case !(*hostMem > 0):
+		return fmt.Errorf("-host-mem %v not positive", *hostMem)
+	case *overcommit < 1:
 		return fmt.Errorf("-overcommit %v below 1", *overcommit)
-	}
-	if *tenants < 1 {
+	case *tenants < 1:
 		return fmt.Errorf("-tenants %d below 1", *tenants)
-	}
-	if *horizon < 0 {
+	case *horizon < 0:
 		return fmt.Errorf("-horizon %v negative", *horizon)
+	}
+	for _, f := range []struct{ flag, name string }{{"platform", *platform}, {"policy", *policy}, {"scenario", *scenarioName}} {
+		if f.name == "" {
+			return fmt.Errorf("-%s needs a name", f.flag)
+		}
 	}
 	kaSpec, err := keepAliveSpec(*keepAliveMode, *seed)
 	if err != nil {
 		return err
 	}
 	sweepMode := *sweep || *pareto
-	if err := flagConflicts(fs, *tracePath, *scenarioName, *stream, sweepMode, *remote != "", *distribute, *workerMode); err != nil {
+	if err := flagConflicts(fs, *tracePath, *scenarioName, sweepMode, *remote != "", *distribute, *workerMode); err != nil {
 		return err
 	}
 	if *workerMode {
@@ -237,226 +241,138 @@ func run(args []string, w io.Writer) error {
 	if *distribute < 0 {
 		return fmt.Errorf("-distribute %d negative", *distribute)
 	}
-	var sc scenario.Scenario
-	if *scenarioName != "raw" {
-		var ok bool
-		if sc, ok = scenario.ByName(*scenarioName); !ok {
-			return fmt.Errorf("unknown scenario %q (have %s, or raw)",
-				*scenarioName, strings.Join(scenario.Names(), ", "))
-		}
+
+	sim := api.SimulateParams{
+		Platform: *platform, Policy: *policy, Hosts: *hosts, Requests: *requests,
+		Scenario: *scenarioName, Tenants: *tenants, Horizon: api.Duration(*horizon),
+		Overcommit: *overcommit, Elastic: *elastic,
+		HostVCPU: *hostVCPU, HostMemMB: *hostMem,
+		KeepAlive: kaSpec,
 	}
-	var faultProfile *faults.Profile
 	if *faultsName != "" {
 		p, err := faults.ByName(*faultsName)
 		if err != nil {
 			return err
 		}
-		faultProfile = &p
+		sim.Faults = &p.Spec
 	}
-
-	if *remote != "" {
-		if sweepMode && *format != "json" {
-			return fmt.Errorf("-remote sweeps print the daemon's JSON document; use -format json")
-		}
-		var sw api.SweepParams
-		if sweepMode {
-			var err error
-			if sw, err = buildSweepParams(fs, *platform, *hosts, *requests, *tenants, *horizon,
-				*hostVCPU, *hostMem, *scenarioName, *sweepPolicies, *sweepTTLs, *sweepOvercommits,
-				*sweepKeepAlive, faultProfile); err != nil {
-				return err
-			}
-		}
-		sim := api.SimulateParams{
-			Platform: *platform, Policy: *policy, Hosts: *hosts, Requests: *requests,
-			Scenario: *scenarioName, Tenants: *tenants, Horizon: api.Duration(*horizon),
-			Overcommit: *overcommit, Elastic: *elastic,
-			HostVCPU: *hostVCPU, HostMemMB: *hostMem,
-			KeepAlive: kaSpec,
-		}
-		if faultProfile != nil {
-			sim.Faults = &faultProfile.Spec
-		}
-		return runRemote(w, *remote, *seed, *verify, sweepMode, *pareto, sim, sw)
-	}
-
-	cfg := fleet.Config{
-		Hosts:      *hosts,
-		Host:       fleet.HostSpec{VCPU: *hostVCPU, MemMB: *hostMem},
-		Policy:     pol,
-		Profile:    prof,
-		Workers:    *workers,
-		Overcommit: *overcommit,
-		Elastic:    *elastic,
-		Seed:       *seed,
-		KeepAlive:  kaSpec,
-	}
-
-	// The synthetic-generator configuration every non-CSV mode starts
-	// from; a future generator-facing flag must be wired in exactly
-	// here to reach the streamed and materialized paths alike.
-	gen := trace.DefaultGeneratorConfig()
-	gen.Requests = *requests
-	gen.Seed = *seed
-	scfg := scenario.Config{Base: gen, Horizon: *horizon, Tenants: *tenants}
-
-	// Fault schedules compile once, keyed to the scenario horizon, and
-	// feed the materialized, streamed, and sweep paths identically.
-	if faultProfile != nil {
-		plan, err := faults.Compile(&faultProfile.Spec, *hosts, scfg.EffectiveHorizon(), *seed)
+	// Remote runs resolve here too, so a spec the daemon would reject
+	// fails before anything is dialed.
+	if !sweepMode {
+		fc, sc, scfg, err := api.SimulateConfigs(sim, *seed)
 		if err != nil {
 			return err
 		}
-		cfg.Faults = plan
+		if *remote != "" {
+			return runRemote(w, *remote, *seed, *verify, false, false, sim, api.SweepParams{})
+		}
+		fc.Workers = *workers
+		return replay(w, fc, sc, scfg, *tracePath, *verify)
 	}
 
-	if sweepMode {
-		// Sweeping "raw" makes no sense (there is no scenario to price
-		// keep-alive economics against); the whole catalog is the
-		// default, one named scenario the restriction.
-		if *scenarioName == "raw" {
-			return fmt.Errorf(`-sweep needs workload scenarios; -scenario raw cannot be swept`)
-		}
-		if *distribute > 0 {
-			// The distributed path resolves its configuration from the
-			// canonical spec (the same resolution the daemon and every
-			// worker use), so coordinator and workers cannot disagree.
-			sw, err := buildSweepParams(fs, *platform, *hosts, *requests, *tenants, *horizon,
-				*hostVCPU, *hostMem, *scenarioName, *sweepPolicies, *sweepTTLs, *sweepOvercommits,
-				*sweepKeepAlive, faultProfile)
-			if err != nil {
-				return err
-			}
-			return runDistributed(w, distsweep.Spec{Sweep: sw, Seed: *seed},
-				*distribute, *listen, *checkpointDir, *workers, *pareto, *verify, *format)
-		}
-		scenarios := []string(nil) // full catalog
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "scenario" {
-				scenarios = []string{*scenarioName}
-			}
-		})
-		scs, err := scenario.Subset(scenarios...)
-		if err != nil {
-			return err
-		}
-		space := opt.DefaultSpace()
-		if *sweepPolicies != "" {
-			space.Policies = splitList(*sweepPolicies)
-		}
-		if *sweepTTLs != "" {
-			if space.TTLs, err = opt.ParseTTLs(splitList(*sweepTTLs)); err != nil {
-				return err
-			}
-		}
-		if *sweepOvercommits != "" {
-			if space.Overcommits, err = parseFloats(splitList(*sweepOvercommits)); err != nil {
-				return err
-			}
-		}
-		if *sweepKeepAlive != "" {
-			space.KeepAliveModes = splitList(*sweepKeepAlive)
-		}
-		ocfg := opt.Config{
-			Profile:   prof,
-			Host:      fleet.HostSpec{VCPU: *hostVCPU, MemMB: *hostMem},
-			Hosts:     *hosts,
-			Scenarios: scs,
-			Scenario:  scfg,
-			Seed:      *seed,
-			Workers:   *workers,
-			Faults:    cfg.Faults,
-		}
-		return runSweep(w, ocfg, space, *pareto, *refine, *format)
+	// Sweeping "raw" makes no sense (there is no scenario to price
+	// keep-alive economics against); the whole catalog is the default,
+	// one named scenario the restriction.
+	if *scenarioName == "raw" {
+		return fmt.Errorf(`-sweep needs workload scenarios; -scenario raw cannot be swept`)
 	}
-
-	if *stream {
-		var src trace.Source
-		scenarioLabel := ""
-		if *scenarioName == "raw" {
-			src = trace.GenerateSource(gen)
-			fmt.Fprintf(w, "streaming %d-request synthetic trace (seed %d)\n", *requests, *seed)
-		} else {
-			src = sc.Source(scfg)
-			scenarioLabel = sc.Name
-			fmt.Fprintf(w, "streaming %d-request %s scenario trace (seed %d, %d tenants)\n",
-				*requests, sc.Name, *seed, *tenants)
-		}
-		simStart := time.Now()
-		rep, err := fleet.SimulateStream(context.Background(), cfg, src)
-		if err != nil {
-			return err
-		}
-		rep.Scenario = scenarioLabel
-		elapsed := time.Since(simStart)
-		fmt.Fprintf(w, "simulated in %v (%.0f requests/sec, generation overlapped)\n\n",
-			elapsed.Round(time.Millisecond), float64(rep.Requests)/elapsed.Seconds())
-		rep.WriteText(w)
-		if *verify {
-			// The independent replay is a materialized oracle: it holds
-			// the whole trace, so -verify trades -stream's bounded
-			// memory for cross-checking. Say so rather than silently
-			// blowing the budget the user asked -stream for.
-			fmt.Fprintln(w, "\nverification materializes the trace once for the independent replay"+
-				" (drop -verify to keep memory bounded at scale)")
-			s, err := src()
-			if err != nil {
-				return err
-			}
-			return verifyReport(w, cfg, rep, trace.Collect(s))
-		}
-		return nil
-	}
-
-	var tr *trace.Trace
-	scenarioLabel := ""
-	genStart := time.Now()
-	switch {
-	case *tracePath != "":
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if tr, err = trace.ReadCSV(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "replaying %d requests from %s (loaded in %v)\n",
-			tr.Len(), *tracePath, time.Since(genStart).Round(time.Millisecond))
-	case *scenarioName == "raw":
-		tr = trace.Generate(gen)
-		fmt.Fprintf(w, "generated %d-request synthetic trace (seed %d) in %v\n",
-			tr.Len(), *seed, time.Since(genStart).Round(time.Millisecond))
-	default:
-		var err error
-		if tr, err = sc.Trace(scfg); err != nil {
-			return err
-		}
-		scenarioLabel = sc.Name
-		fmt.Fprintf(w, "synthesized %d-request %s scenario trace (seed %d, %d tenants) in %v\n",
-			tr.Len(), sc.Name, *seed, *tenants, time.Since(genStart).Round(time.Millisecond))
-	}
-
-	simStart := time.Now()
-	rep, err := fleet.Simulate(cfg, tr)
+	sw, err := sweepParams(fs, sim, *sweepPolicies, *sweepTTLs, *sweepOvercommits, *sweepKeepAlive)
 	if err != nil {
 		return err
 	}
-	rep.Scenario = scenarioLabel
-	elapsed := time.Since(simStart)
-	fmt.Fprintf(w, "simulated in %v (%.0f requests/sec)\n\n",
-		elapsed.Round(time.Millisecond), float64(tr.Len())/elapsed.Seconds())
-	rep.WriteText(w)
-	if *verify {
-		return verifyReport(w, cfg, rep, tr)
+	ocfg, space, err := api.SweepConfigs(sw, *seed)
+	if err != nil {
+		return err
 	}
+	switch {
+	case *remote != "":
+		if *format != "json" {
+			return fmt.Errorf("-remote sweeps print the daemon's JSON document; use -format json")
+		}
+		return runRemote(w, *remote, *seed, false, true, *pareto, sim, sw)
+	case *distribute > 0:
+		return runDistributed(w, distsweep.Spec{Sweep: sw, Seed: *seed},
+			*distribute, *listen, *checkpointDir, *workers, *pareto, *verify, *format)
+	}
+	ocfg.Workers = *workers
+	return runSweep(w, ocfg, space, *pareto, *refine, *format)
+}
+
+// replay runs one cluster simulation of the resolved configuration
+// and prints its report; verify adds the differential replay's
+// verdict. Every workload — a CSV trace, the raw generator (sc is the
+// zero Scenario), a scenario — streams through the one
+// fleet.SimulateStream call (diffsim.VerifyStream's under verify, the
+// call the daemon's scenario.verify job makes).
+func replay(w io.Writer, fc fleet.Config, sc scenario.Scenario, scfg scenario.Config, tracePath string, verify bool) error {
+	var src trace.Source
+	label := ""
+	switch {
+	case tracePath != "":
+		start := time.Now()
+		f, err := os.Open(tracePath)
+		if err != nil {
+			return err
+		}
+		tr, err := trace.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		src = trace.SourceOf(tr)
+		fmt.Fprintf(w, "replaying %d requests from %s (loaded in %v)\n",
+			tr.Len(), tracePath, time.Since(start).Round(time.Millisecond))
+	case sc.Name == "":
+		src = trace.GenerateSource(scfg.Base)
+		fmt.Fprintf(w, "streaming %d-request synthetic trace (seed %d)\n", scfg.Base.Requests, scfg.Base.Seed)
+	default:
+		src, label = sc.Source(scfg), sc.Name
+		fmt.Fprintf(w, "streaming %d-request %s scenario trace (seed %d, %d tenants)\n",
+			scfg.Base.Requests, sc.Name, scfg.Base.Seed, scfg.Tenants)
+	}
+
+	start := time.Now()
+	var rep fleet.Report
+	var res *diffsim.Result
+	var err error
+	if verify {
+		// err is the verdict once the comparison ran (res != nil).
+		if res, rep, err = diffsim.VerifyStream(context.Background(), fc, src, diffsim.DefaultTolerance); res == nil {
+			return err
+		}
+	} else if rep, err = fleet.SimulateStream(context.Background(), fc, src); err != nil {
+		return err
+	}
+	rep.Scenario = label
+	elapsed := time.Since(start)
+	done := "simulated"
+	if verify {
+		done = "simulated and verified"
+	}
+	fmt.Fprintf(w, "%s in %v (%.0f requests/sec)\n\n",
+		done, elapsed.Round(time.Millisecond), float64(rep.Requests)/elapsed.Seconds())
+	rep.WriteText(w)
+	if res == nil {
+		return nil
+	}
+	fmt.Fprintf(w, "\ndifferential replay: max relative delta %.3g over %d metrics\n",
+		res.MaxRelDelta, len(res.Metrics))
+	if err != nil {
+		// A mismatch is the one failure with its own exit code
+		// (exitVerifyFailed): the run happened, the oracle disagreed.
+		if name := res.FirstMismatch(diffsim.DefaultTolerance); name != "" {
+			return &verifyFailure{fmt.Errorf("differential replay failed, first mismatched metric %s: %w", name, err)}
+		}
+		return &verifyFailure{err}
+	}
+	fmt.Fprintln(w, "differential replay: report verified")
 	return nil
 }
 
 // flagConflicts rejects contradictory flag combinations up front,
 // naming every offending flag explicitly so the fix is obvious from
 // the message alone.
-func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, stream, sweepMode, remote bool,
+func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, sweepMode, remote bool,
 	distribute int, workerMode bool) error {
 	// A worker's entire task arrives over the wire from its
 	// coordinator; any workload- or output-shaping flag set locally
@@ -480,14 +396,13 @@ func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, stream, swe
 	// repurposes it: run the in-process sweep too and require byte
 	// identity.
 	sweepConflicts := map[string]bool{"policy": true, "overcommit": true, "elastic": true,
-		"trace": true, "stream": true, "keepalive": true}
+		"trace": true, "keepalive": true}
 	if distribute == 0 {
 		sweepConflicts["verify"] = true
 	}
-	// A recorded trace replays as-is, "raw" bypasses the shaping layer,
-	// and the streaming pipeline synthesizes its workload lazily;
-	// explicitly asking for a combination that contradicts the chosen
-	// mode is a user error, not something to ignore silently.
+	// A recorded trace replays as-is and "raw" bypasses the shaping
+	// layer; explicitly asking for a combination that contradicts the
+	// chosen mode is a user error, not something to ignore silently.
 	rules := []struct {
 		active bool
 		reason string
@@ -498,8 +413,6 @@ func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, stream, swe
 		{tracePath == "" && scenarioName == "raw",
 			`-scenario raw is the unshaped generator (fault schedules key to a scenario horizon)`,
 			map[string]bool{"tenants": true, "horizon": true, "faults": true}},
-		{stream, "-stream synthesizes its workload lazily and cannot replay a CSV",
-			map[string]bool{"trace": true}},
 		{sweepMode, "-sweep/-pareto evaluate the whole policy grid (the swept knobs replace the single-run flags)",
 			sweepConflicts},
 		{!sweepMode, "-refine, -sweep-*, -distribute, and -format configure -sweep/-pareto",
@@ -512,7 +425,7 @@ func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, stream, swe
 		{!workerMode, "-connect names the coordinator a -worker dials",
 			map[string]bool{"connect": true}},
 		{remote, "-remote runs on the daemon; local-only flags do not apply there",
-			map[string]bool{"trace": true, "workers": true, "stream": true, "refine": true,
+			map[string]bool{"trace": true, "workers": true, "refine": true,
 				"distribute": true, "listen": true, "checkpoint-dir": true}},
 	}
 	for _, ru := range rules {
@@ -532,46 +445,31 @@ func flagConflicts(fs *flag.FlagSet, tracePath, scenarioName string, stream, swe
 	return nil
 }
 
-// buildSweepParams translates the sweep-shaping flags into the
-// canonical api.SweepParams document. The daemon (-remote) and the
-// distributed coordinator (-distribute) both resolve their grids from
-// this spec through api.SweepConfigs — the same resolution every
-// worker applies — so the flag path and the spec path cannot drift.
-func buildSweepParams(fs *flag.FlagSet, platform string, hosts, requests, tenants int,
-	horizon time.Duration, hostVCPU, hostMem float64, scenarioName,
-	sweepPolicies, sweepTTLs, sweepOvercommits, sweepKeepAlive string,
-	faultProfile *faults.Profile) (api.SweepParams, error) {
+// sweepParams translates the sweep-shaping flags into the canonical
+// api.SweepParams document, inheriting the workload and host shape
+// from the single-run document. Every sweep mode — in-process,
+// -remote, -distribute — resolves its grid from this spec through
+// api.SweepConfigs, so the modes cannot drift.
+func sweepParams(fs *flag.FlagSet, sim api.SimulateParams,
+	policies, ttls, overcommits, keepAliveModes string) (api.SweepParams, error) {
+	ocs, err := parseFloats(splitList(overcommits))
+	if err != nil {
+		return api.SweepParams{}, err
+	}
 	sw := api.SweepParams{
-		Platform: platform, Hosts: hosts, Requests: requests,
-		Tenants: tenants, Horizon: api.Duration(horizon),
-		HostVCPU: hostVCPU, HostMemMB: hostMem,
+		Platform: sim.Platform, Hosts: sim.Hosts, Requests: sim.Requests,
+		Tenants: sim.Tenants, Horizon: sim.Horizon,
+		Policies: splitList(policies), TTLs: splitList(ttls), Overcommits: ocs,
+		HostVCPU: sim.HostVCPU, HostMemMB: sim.HostMemMB,
+		Faults: sim.Faults, KeepAliveModes: splitList(keepAliveModes),
 	}
 	// Only an explicit -scenario narrows the sweep; the default value
 	// must not shadow the full-catalog default.
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "scenario" {
-			sw.Scenarios = []string{scenarioName}
+			sw.Scenarios = []string{sim.Scenario}
 		}
 	})
-	if sweepPolicies != "" {
-		sw.Policies = splitList(sweepPolicies)
-	}
-	if sweepTTLs != "" {
-		sw.TTLs = splitList(sweepTTLs)
-	}
-	if sweepOvercommits != "" {
-		ocs, err := parseFloats(splitList(sweepOvercommits))
-		if err != nil {
-			return api.SweepParams{}, err
-		}
-		sw.Overcommits = ocs
-	}
-	if sweepKeepAlive != "" {
-		sw.KeepAliveModes = splitList(sweepKeepAlive)
-	}
-	if faultProfile != nil {
-		sw.Faults = &faultProfile.Spec
-	}
 	return sw, nil
 }
 
@@ -941,27 +839,4 @@ func parseFloats(fields []string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// verifyReport runs the independent differential replay against an
-// already-printed report. A failure names the first mismatched metric
-// up front (the full metric dump follows from Check's error).
-func verifyReport(w io.Writer, cfg fleet.Config, rep fleet.Report, tr *trace.Trace) error {
-	agg, err := diffsim.Replay(cfg, tr)
-	if err != nil {
-		return err
-	}
-	res := diffsim.Diff(rep, agg)
-	fmt.Fprintf(w, "\ndifferential replay: max relative delta %.3g over %d metrics\n",
-		res.MaxRelDelta, len(res.Metrics))
-	if err := res.Check(diffsim.DefaultTolerance); err != nil {
-		// A mismatch is the one failure with its own exit code
-		// (exitVerifyFailed): the run happened, the oracle disagreed.
-		if name := res.FirstMismatch(diffsim.DefaultTolerance); name != "" {
-			return &verifyFailure{fmt.Errorf("differential replay failed, first mismatched metric %s: %w", name, err)}
-		}
-		return &verifyFailure{err}
-	}
-	fmt.Fprintln(w, "differential replay: report verified")
-	return nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"slscost/internal/api"
 	"slscost/internal/core"
+	"slscost/internal/fleet"
 	"slscost/internal/trace"
 )
 
@@ -44,8 +45,8 @@ func TestRunWorkerCountIndependentOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := out.String()
-		// Strip timing lines and the worker count, which legitimately vary.
-		s = regexp.MustCompile(`(?m)^(generated|synthesized|simulated).*$`).ReplaceAllString(s, "")
+		// Strip the timing line and the worker count, which legitimately vary.
+		s = regexp.MustCompile(`(?m)^simulated.*$`).ReplaceAllString(s, "")
 		return regexp.MustCompile(`\d+ workers`).ReplaceAllString(s, "W workers")
 	}
 	if a, b := report("1"), report("4"); a != b {
@@ -53,20 +54,26 @@ func TestRunWorkerCountIndependentOutput(t *testing.T) {
 	}
 }
 
-func TestRunReplayCSV(t *testing.T) {
+// writeTraceCSV writes an n-request generated trace to a temporary CSV
+// file and returns its path.
+func writeTraceCSV(t *testing.T, n int) string {
+	t.Helper()
 	cfg := trace.DefaultGeneratorConfig()
-	cfg.Requests = 1500
-	tr := trace.Generate(cfg)
+	cfg.Requests = n
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteCSV(f, tr); err != nil {
+	defer f.Close()
+	if err := trace.WriteCSV(f, trace.Generate(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	return path
+}
 
+func TestRunReplayCSV(t *testing.T) {
+	path := writeTraceCSV(t, 1500)
 	var out bytes.Buffer
 	if err := run([]string{"-trace", path, "-hosts", "4", "-platform", "gcp-cloud-run"}, &out); err != nil {
 		t.Fatal(err)
@@ -90,6 +97,12 @@ func TestRunErrors(t *testing.T) {
 		{"missing trace", []string{"-trace", filepath.Join(t.TempDir(), "missing.csv")}},
 		{"zero hosts", []string{"-hosts", "0"}},
 		{"negative hosts", []string{"-hosts", "-4"}},
+		{"zero requests", []string{"-requests", "0"}},
+		{"zero host vcpu", []string{"-host-vcpu", "0"}},
+		{"NaN host vcpu", []string{"-host-vcpu", "NaN"}},
+		{"zero host mem", []string{"-host-mem", "0"}},
+		{"empty platform", []string{"-platform", ""}},
+		{"empty policy", []string{"-policy", ""}},
 		{"fractional overcommit", []string{"-overcommit", "0.5"}},
 		{"zero overcommit", []string{"-overcommit", "0"}},
 		{"bad scenario", []string{"-scenario", "nope"}},
@@ -126,7 +139,7 @@ func TestRunScenarioModes(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 		if args[1] == "raw" {
-			if !strings.Contains(out.String(), "generated 2000-request synthetic trace") {
+			if !strings.Contains(out.String(), "streaming 2000-request synthetic trace") {
 				t.Errorf("%v: missing raw banner:\n%s", args, out.String())
 			}
 			continue
@@ -190,7 +203,6 @@ func TestRunFlagConflictMessages(t *testing.T) {
 			[]string{"-tenants", "-horizon"}},
 		{"raw+tenants", []string{"-scenario", "raw", "-tenants", "2"}, []string{"-tenants"}},
 		{"raw+horizon", []string{"-scenario", "raw", "-horizon", "1h"}, []string{"-horizon"}},
-		{"stream+trace", []string{"-stream", "-trace", "t.csv"}, []string{"-trace"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -208,46 +220,74 @@ func TestRunFlagConflictMessages(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesMaterialized is the CLI-level tentpole check:
-// -stream prints the identical report (everything below the banner
-// and timing lines) for the scenario and raw paths.
+// TestRunStreamMatchesMaterialized checks the CLI's one replay path
+// against the library's materialized views: for a scenario, the raw
+// generator and a tenant mix, the printed report is the one
+// fleet.SimulateScenario (fleet.Simulate over trace.Generate, for raw)
+// renders for the same resolved configuration.
 func TestRunStreamMatchesMaterialized(t *testing.T) {
-	report := func(args ...string) string {
+	for _, scenarioName := range []string{"flash-crowd", "raw", "multi-tenant"} {
 		var out bytes.Buffer
+		args := []string{"-scenario", scenarioName, "-hosts", "4", "-requests", "3000", "-seed", "9"}
 		if err := run(args, &out); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
-		// Strip the banner/timing lines, which legitimately differ.
-		s := regexp.MustCompile(`(?m)^(generated|synthesized|streaming|simulated).*\n`).ReplaceAllString(out.String(), "")
-		return s
-	}
-	for _, base := range [][]string{
-		{"-scenario", "flash-crowd", "-hosts", "4", "-requests", "3000"},
-		{"-scenario", "raw", "-hosts", "4", "-requests", "3000"},
-		{"-scenario", "multi-tenant", "-hosts", "4", "-requests", "3000", "-tenants", "3"},
-	} {
-		mat := report(base...)
-		str := report(append([]string{"-stream"}, base...)...)
-		if mat != str {
-			t.Errorf("%v: streamed CLI report differs:\nmaterialized:\n%s\nstreamed:\n%s", base, mat, str)
+		fc, sc, scfg, err := api.SimulateConfigs(api.SimulateParams{Scenario: scenarioName, Hosts: 4, Requests: 3000}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep fleet.Report
+		if scenarioName == "raw" {
+			rep, err = fleet.Simulate(fc, trace.Generate(scfg.Base))
+		} else {
+			rep, _, err = fleet.SimulateScenario(fc, sc, scfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		rep.WriteText(&want)
+		if got := reportBlock(t, out.String()); got != want.String() {
+			t.Errorf("%v: CLI report differs from the materialized view:\nCLI:\n%s\nview:\n%s", args, got, want.String())
 		}
 	}
 }
 
-// TestRunStreamVerify exercises -stream -verify: the streamed report
-// must pass the independent differential replay.
+// TestRunStreamVerify checks that -verify replays the same stream as
+// a plain run: its report block is byte-identical to the plain run's,
+// and the oracle's verdict follows, for a scenario and for a replayed
+// CSV trace.
 func TestRunStreamVerify(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-stream", "-scenario", "diurnal", "-hosts", "4", "-requests", "2000", "-verify"}, &out)
-	if err != nil {
-		t.Fatal(err)
+	for _, base := range [][]string{
+		{"-scenario", "diurnal", "-hosts", "4", "-requests", "2000"},
+		{"-trace", writeTraceCSV(t, 1500), "-hosts", "4"},
+	} {
+		var plain, verified bytes.Buffer
+		if err := run(base, &plain); err != nil {
+			t.Fatalf("%v: %v", base, err)
+		}
+		if err := run(append([]string{"-verify"}, base...), &verified); err != nil {
+			t.Fatalf("-verify %v: %v", base, err)
+		}
+		got, want := reportBlock(t, verified.String()), reportBlock(t, plain.String())
+		if !strings.HasPrefix(got, want) {
+			t.Errorf("%v: -verify report differs from the plain run:\n%s\nvs\n%s", base, got, want)
+		}
+		if !strings.HasSuffix(got, "differential replay: report verified\n") {
+			t.Errorf("%v: missing verification verdict:\n%s", base, got)
+		}
 	}
-	if !strings.Contains(out.String(), "differential replay: report verified") {
-		t.Errorf("missing verification verdict:\n%s", out.String())
+}
+
+// reportBlock returns a run's output from the report's first line on,
+// dropping the banner and timing lines above it.
+func reportBlock(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "fleet:")
+	if i < 0 {
+		t.Fatalf("output has no report block:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "streaming 2000-request diurnal scenario trace") {
-		t.Errorf("missing streaming banner:\n%s", out.String())
-	}
+	return out[i:]
 }
 
 // TestRunSweepModes exercises the policy-optimization modes end to
@@ -328,7 +368,6 @@ func TestRunSweepErrorsAndConflicts(t *testing.T) {
 		{"sweep with overcommit", []string{"-sweep", "-overcommit", "2"}, "-overcommit"},
 		{"sweep with elastic", []string{"-sweep", "-elastic"}, "-elastic"},
 		{"sweep with trace", []string{"-sweep", "-trace", "t.csv"}, "-trace"},
-		{"sweep with stream", []string{"-sweep", "-stream"}, "-stream"},
 		{"sweep with verify", []string{"-sweep", "-verify"}, "-verify"},
 		{"pareto with policy", []string{"-pareto", "-policy", "bin-pack"}, "-policy"},
 		{"sweep of raw", []string{"-sweep", "-scenario", "raw"}, "raw"},
@@ -494,14 +533,9 @@ func TestRunRemoteSimulateAndVerify(t *testing.T) {
 	if err := run(append([]string{"-remote", addr}, base...), &remote); err != nil {
 		t.Fatal(err)
 	}
-	// The local run prefixes generation/simulation timing lines; the
-	// report block itself ("fleet: ..." on) must match byte for byte.
-	want := local.String()
-	if i := strings.Index(want, "fleet:"); i >= 0 {
-		want = want[i:]
-	} else {
-		t.Fatalf("local output has no report block:\n%s", local.String())
-	}
+	// The local run prefixes banner and timing lines; the report block
+	// itself ("fleet: ..." on) must match byte for byte.
+	want := reportBlock(t, local.String())
 	if !strings.HasSuffix(remote.String(), want) {
 		t.Fatalf("remote report differs from local:\nremote:\n%s\nlocal block:\n%s", remote.String(), want)
 	}
@@ -524,9 +558,16 @@ func TestRunRemoteConflicts(t *testing.T) {
 	}{
 		{"remote with trace", []string{"-remote", "x:1", "-trace", "t.csv"}, "-trace"},
 		{"remote with workers", []string{"-remote", "x:1", "-workers", "2"}, "-workers"},
-		{"remote with stream", []string{"-remote", "x:1", "-stream"}, "-stream"},
 		{"remote sweep with refine", []string{"-remote", "x:1", "-sweep", "-refine"}, "-refine"},
 		{"remote sweep text format", []string{"-remote", "x:1", "-sweep"}, "-format json"},
+		// An explicit zero must fail before the daemon is dialed, not
+		// run with the daemon's default in its place (the address is
+		// closed, so a dial would fail without naming the flag).
+		{"remote zero hosts", []string{"-remote", "127.0.0.1:1", "-hosts", "0"}, "-hosts"},
+		{"remote zero requests", []string{"-remote", "127.0.0.1:1", "-requests", "0"}, "-requests"},
+		{"remote zero host vcpu", []string{"-remote", "127.0.0.1:1", "-host-vcpu", "0"}, "-host-vcpu"},
+		{"remote zero host mem", []string{"-remote", "127.0.0.1:1", "-host-mem", "0"}, "-host-mem"},
+		{"remote sweep zero hosts", []string{"-remote", "127.0.0.1:1", "-sweep", "-format", "json", "-hosts", "0"}, "-hosts"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -44,22 +44,25 @@ func main() {
 	// 3. One cluster simulation per placement policy. Everything is
 	//    seeded: rerunning this program reproduces every number, and the
 	//    worker count (defaulted to GOMAXPROCS here) never changes them.
-	fmt.Printf("%-14s %10s %9s %9s %8s %12s\n",
-		"policy", "$/1M req", "p50 ms", "p99 ms", "cold %", "contention s")
-	var leastLoaded fleet.Report
-	for _, name := range fleet.PolicyNames() {
-		policy, err := fleet.NewPolicy(name)
+	cfg := func(policyName string) fleet.Config {
+		policy, err := fleet.NewPolicy(policyName)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := fleet.Simulate(fleet.Config{
+		return fleet.Config{
 			Hosts:      16,
 			Host:       fleet.DefaultHostSpec(),
 			Policy:     policy,
 			Profile:    core.AWS(),
 			Overcommit: 2,
 			Seed:       7,
-		}, replayed)
+		}
+	}
+	fmt.Printf("%-14s %10s %9s %9s %8s %12s\n",
+		"policy", "$/1M req", "p50 ms", "p99 ms", "cold %", "contention s")
+	var leastLoaded fleet.Report
+	for _, name := range fleet.PolicyNames() {
+		rep, err := fleet.Simulate(cfg(name), replayed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,32 +78,27 @@ func main() {
 	fmt.Println()
 	leastLoaded.WriteText(os.Stdout)
 
-	// 5. The streaming path: the same simulation fed by a re-openable
-	//    trace source instead of the materialized slice. Host shards
-	//    simulate concurrently with the feeder and memory stays bounded
-	//    by the pod count — swap SourceOf for trace.GenerateSource (or
-	//    a scenario's Source) and this same call scales to tens of
-	//    millions of requests — while the report stays byte-identical.
-	policy, err := fleet.NewPolicy("least-loaded")
+	// 5. The streaming form: the same cluster fed straight from the
+	//    generator, never materialized. fleet.Simulate is this pipeline
+	//    over a trace held in memory; streamed, host shards simulate
+	//    concurrently with generation and memory stays bounded by the
+	//    pod count, so the call scales to tens of millions of requests.
+	//    Its report is the in-memory trace's, byte for byte. (The CSV
+	//    above stores times in whole microseconds, so the replayed
+	//    trace's report can differ in the last digits.)
+	inMemory, err := fleet.Simulate(cfg("least-loaded"), tr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	streamed, err := fleet.SimulateStream(context.Background(), fleet.Config{
-		Hosts:      16,
-		Host:       fleet.DefaultHostSpec(),
-		Policy:     policy,
-		Profile:    core.AWS(),
-		Overcommit: 2,
-		Seed:       7,
-	}, trace.SourceOf(replayed))
+	streamed, err := fleet.SimulateStream(context.Background(), cfg("least-loaded"), trace.GenerateSource(gen))
 	if err != nil {
 		log.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	leastLoaded.WriteText(&a)
+	inMemory.WriteText(&a)
 	streamed.WriteText(&b)
 	if a.String() != b.String() {
-		log.Fatal("streamed report drifted from the materialized one")
+		log.Fatal("streamed report drifted from the in-memory trace's")
 	}
-	fmt.Println("\nstreamed pipeline (fleet.SimulateStream) reproduced the report byte-for-byte")
+	fmt.Println("\nstreaming the generator (fleet.SimulateStream over trace.GenerateSource) reproduced the in-memory trace's report byte-for-byte")
 }

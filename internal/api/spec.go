@@ -89,9 +89,9 @@ func DecodeJobSpec(data []byte) (JobSpec, error) {
 }
 
 // SimulateParams parameterizes fleet.simulate and scenario.verify:
-// one cluster replay of one scenario. Zero values take the same
-// defaults the fleetsim CLI uses, so an empty params object is the
-// CLI's default run.
+// one cluster replay of one scenario. Zero values take the defaults
+// DefaultSimulateParams lists, which are also the fleetsim flag
+// defaults, so an empty params object is the CLI's default run.
 type SimulateParams struct {
 	// Platform is the billing/serving profile name (default
 	// "aws-lambda").
@@ -133,7 +133,11 @@ type SimulateParams struct {
 	KeepAlive *keepalive.Spec `json:"keepalive,omitempty"`
 }
 
-// withDefaults resolves the zero values to the CLI defaults.
+// DefaultSimulateParams returns the parameters an empty params object
+// resolves to.
+func DefaultSimulateParams() SimulateParams { return SimulateParams{}.withDefaults() }
+
+// withDefaults resolves the zero values to the defaults.
 func (p SimulateParams) withDefaults() SimulateParams {
 	if p.Platform == "" {
 		p.Platform = "aws-lambda"
@@ -171,8 +175,8 @@ func (p SimulateParams) withDefaults() SimulateParams {
 type SweepParams struct {
 	// Platform is the profile name (default "aws-lambda").
 	Platform string `json:"platform,omitempty"`
-	// Hosts is the default pool size per evaluation (default 16, as
-	// in opt.Config).
+	// Hosts is the default pool size per evaluation (default
+	// opt.DefaultHosts).
 	Hosts int `json:"hosts,omitempty"`
 	// Requests is the per-scenario request volume (default 200000).
 	Requests int `json:"requests,omitempty"`
@@ -253,8 +257,9 @@ func PlanKey(scenarioName string, scfg scenario.Config) string {
 }
 
 // SimulateConfigs resolves SimulateParams into the fleet and scenario
-// configurations a run needs, mirroring the fleetsim flag path
-// exactly (defaults included) so remote and in-process runs agree.
+// configurations a run needs. It is the one resolver: the daemon and
+// every fleetsim mode go through it, so remote and in-process runs
+// agree. The fleet Config's Workers is left at zero (GOMAXPROCS).
 func SimulateConfigs(p SimulateParams, seed uint64) (fleet.Config, scenario.Scenario, scenario.Config, error) {
 	p = p.withDefaults()
 	prof, ok := core.ProfileByName(p.Platform)
@@ -320,7 +325,9 @@ func SimulateConfigs(p SimulateParams, seed uint64) (fleet.Config, scenario.Scen
 }
 
 // SweepConfigs resolves SweepParams into the optimizer configuration
-// and candidate space, mirroring the fleetsim -sweep flag path.
+// and candidate space: the one resolver the daemon, the distributed
+// coordinator and fleetsim -sweep share. The opt Config's Workers is
+// left at zero (GOMAXPROCS).
 func SweepConfigs(p SweepParams, seed uint64) (opt.Config, opt.Space, error) {
 	if p.Platform == "" {
 		p.Platform = "aws-lambda"
@@ -378,7 +385,7 @@ func SweepConfigs(p SweepParams, seed uint64) (opt.Config, opt.Space, error) {
 	if p.Faults != nil {
 		hosts := cfg.Hosts
 		if hosts == 0 {
-			hosts = 16 // opt.Config.withDefaults' pool size
+			hosts = opt.DefaultHosts
 		}
 		plan, err := faults.Compile(p.Faults, hosts, cfg.Scenario.EffectiveHorizon(), seed)
 		if err != nil {

@@ -64,8 +64,9 @@ func TestAdaptiveWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStreamMatchesMaterialized: the streaming path replays the
-// decider state machines identically to the batch path.
+// TestAdaptiveStreamMatchesMaterialized: the replay runs the decider
+// state machines identically whether fed a materialized trace
+// (Simulate) or a source (SimulateStream).
 func TestAdaptiveStreamMatchesMaterialized(t *testing.T) {
 	tr := deciderTestTrace()
 	for _, mode := range []keepalive.Mode{keepalive.ModeAdaptive, keepalive.ModeBandit} {

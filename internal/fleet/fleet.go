@@ -24,8 +24,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"slscost/internal/autoscale"
@@ -141,8 +139,7 @@ type pod struct {
 	initMs time.Duration // cold-start init of the pod's first request
 	first  time.Duration // first request arrival
 	last   time.Duration // last request turnaround end
-	reqs   []int         // indices into the trace, in arrival order (batch path only)
-	nreqs  int           // request count (set by both the batch and streaming scans)
+	nreqs  int           // request count
 	host   int           // assigned host, -1 = rejected
 	sb     *sandbox      // live sandbox during simulation (owned by the host's shard)
 
@@ -159,34 +156,6 @@ type pod struct {
 	// the pod's next arrival, whether the sandbox survived or not.
 	decider  keepalive.Decider
 	idleFrom time.Duration
-}
-
-// buildPods groups the trace into pods in order of first arrival.
-// Requests must arrive sorted by Start (grouping preserves per-pod
-// order), and a pod's flavor must be constant across its requests — the
-// sandbox is placed once with that flavor. Both are properties of
-// generator output; a hand-assembled replay CSV that violates them is
-// rejected rather than silently mis-simulated.
-//
-// Pod construction and input validation live in scanPods, shared with
-// the streaming path so the two passes cannot drift; buildPods adds
-// the per-request index lists only the batch replay needs. (Sortedness
-// is enforced, so first-appearance order already is first-arrival
-// order — no re-sort needed.)
-func buildPods(tr *trace.Trace) ([]*pod, error) {
-	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
-	if err != nil {
-		return nil, err
-	}
-	byID := make(map[int]*pod, len(pods))
-	for _, p := range pods {
-		p.reqs = make([]int, 0, p.nreqs)
-		byID[p.id] = p
-	}
-	for i, r := range tr.Requests {
-		byID[r.PodID].reqs = append(byID[r.PodID].reqs, i)
-	}
-	return pods, nil
 }
 
 // release is a scheduled reduction of a pod's placement commitment: the
@@ -405,58 +374,10 @@ func expectedWindow(p core.Profile) time.Duration {
 func mix(seed, salt uint64) uint64 { return stats.MixSeed(seed, salt) }
 
 // Simulate replays the trace through the cluster and returns the
-// cluster-wide report. The trace must be sorted by arrival time with
-// per-pod flavors constant (trace.Generate output satisfies both;
-// malformed replay input is rejected with an error).
+// cluster-wide report: SimulateStream over the trace. The trace must be
+// sorted by arrival time with per-pod flavors constant (trace.Generate
+// output satisfies both; malformed replay input is rejected with an
+// error).
 func Simulate(cfg Config, tr *trace.Trace) (Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return Report{}, err
-	}
-	if tr == nil || tr.Len() == 0 {
-		return Report{}, ErrEmptyTrace
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	pods, err := buildPods(tr)
-	if err != nil {
-		return Report{}, err
-	}
-	_, ps := placeAll(cfg, pods)
-
-	// Bucket pods by host; per-host pod order follows first arrival.
-	perHost := make([][]*pod, cfg.Hosts)
-	rejectedReqs := 0
-	for _, p := range pods {
-		if p.host < 0 {
-			rejectedReqs += len(p.reqs)
-			continue
-		}
-		perHost[p.host] = append(perHost[p.host], p)
-	}
-
-	// Shard the hosts across the worker pool. Each host simulates on its
-	// own clock and stream; results land in a slice indexed by host so
-	// the merge below is independent of completion order.
-	results := make([]hostResult, cfg.Hosts)
-	hostCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range hostCh {
-				results[h] = simulateHost(cfg, h, perHost[h], tr)
-			}
-		}()
-	}
-	for h := 0; h < cfg.Hosts; h++ {
-		hostCh <- h
-	}
-	close(hostCh)
-	wg.Wait()
-
-	return mergeReport(cfg, workers, tr.Len(), ps, rejectedReqs, results)
+	return SimulateStream(context.Background(), cfg, trace.SourceOf(tr))
 }

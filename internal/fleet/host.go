@@ -69,7 +69,7 @@ type hostResult struct {
 // Per-request measurements are accumulated in fixed logarithmic
 // histograms (stats.LogHist) rather than per-request slices: the
 // optimizer layer (internal/opt) wants tail quantiles as objectives,
-// and a histogram keeps the streamed path's memory independent of the
+// and a histogram keeps the replay's memory independent of the
 // trace size. Merging per-host histograms is integer bucket addition
 // plus moment addition, so cluster-wide quantiles, means, and extrema
 // are exact functions of the per-host tallies and independent of merge
@@ -194,14 +194,13 @@ type hostSim struct {
 	sbFree     []*sandbox
 	completeFn simtime.ArgEvent
 	expireFn   simtime.ArgEvent
-	arriveFn   simtime.ArgEvent
 	faultFn    simtime.ArgEvent
 }
 
 // deferredReq is one arrival queued while its host was draining or
-// down. The request is copied by value: the streaming path feeds
-// arrivals out of pooled batch buffers that are recycled long before
-// the host recovers.
+// down. The request is copied by value: arrivals are fed out of
+// recycled batch buffers that are reused long before the host
+// recovers.
 type deferredReq struct {
 	p *pod
 	r trace.Request
@@ -242,22 +241,18 @@ func newHostSim(cfg Config, hostIdx int) *hostSim {
 	s.res.recovHist = stats.NewLogHist(RecoveryHistConfig())
 	s.completeFn = func(now time.Duration, arg any) { s.complete(now, arg.(*inflightRec)) }
 	s.expireFn = func(now time.Duration, arg any) { s.expire(now, arg.(*sandbox)) }
-	s.arriveFn = func(now time.Duration, arg any) {
-		a := arg.(*arrival)
-		s.arrive(now, a.p, &a.r)
-	}
 	s.faultFn = func(now time.Duration, arg any) { s.fault(now, arg.(faults.Kind)) }
 	return s
 }
 
-// seedFaults schedules the host's fault plan on its private clock.
-// Both replay paths call it before the clock first runs — the batch
-// path right after seeding arrivals, the streaming path at the sim's
-// lazy creation — so fault events carry lower sequence numbers than
-// any runtime-scheduled completion or expiry: at an equal instant a
-// fault fires first, while a same-instant arrival (seeded earlier in
-// batch, fed directly in stream) still beats it. The tie order is
-// therefore identical on both paths and in the differential oracle.
+// seedFaults schedules the host's fault plan on its private clock. The
+// replay calls it at the sim's lazy creation, before the clock first
+// runs, so fault events carry lower sequence numbers than any
+// runtime-scheduled completion or expiry: at an equal instant a fault
+// fires first, while a same-instant arrival, fed directly, still beats
+// it. The differential oracle applies the same tie order. A host that
+// is never fed creates no sim and seeds nothing: faults on a host that
+// never serves are unobservable.
 func (s *hostSim) seedFaults(hostIdx int) {
 	for _, ev := range s.cfg.Faults.HostEvents(hostIdx) {
 		s.clock.Schedule(ev.At, s.faultFn, ev.Kind)
@@ -285,14 +280,10 @@ func (s *hostSim) getSandbox(p *pod) *sandbox {
 	return &sandbox{pod: p}
 }
 
-// feed serves one externally driven arrival: queued completions and
-// expiries strictly before the arrival run first, then the request is
-// admitted at its arrival instant. Because the batch path seeds every
-// arrival before its clock runs (so arrivals carry lower sequence
-// numbers than any runtime-scheduled event), running strictly-earlier
-// events and then arriving directly reproduces the batch tie order
-// exactly: an arrival at t fires before a completion or expiry at t.
-// Arrivals must be fed in non-decreasing Start order.
+// feed serves one arrival: queued completions, expiries, and faults
+// strictly before the arrival run first, then the request is admitted
+// at its arrival instant, so an arrival at t goes before any event
+// scheduled at t. Arrivals must be fed in non-decreasing Start order.
 func (s *hostSim) feed(p *pod, r *trace.Request) {
 	s.clock.RunBefore(r.Start)
 	s.arrive(r.Start, p, r)
@@ -342,57 +333,6 @@ func (s *hostSim) decider(p *pod) keepalive.Decider {
 		p.decider = d
 	}
 	return d
-}
-
-// simulateHost replays the host's pods to completion (the batch path:
-// every arrival is scheduled up front, then the clock runs dry).
-// Arrivals are seeded in trace order, not pod-major order: the clock
-// breaks same-instant ties by scheduling order, and the streaming path
-// feeds arrivals in trace order, so seeding any other way would let
-// two same-nanosecond arrivals from different pods execute in a
-// different order on the two paths (contention factors are fixed at
-// admission, so execution order is observable).
-func simulateHost(cfg Config, hostIdx int, pods []*pod, tr *trace.Trace) hostResult {
-	type podReq struct {
-		p  *pod
-		ri int
-	}
-	n := 0
-	for _, p := range pods {
-		n += len(p.reqs)
-	}
-	seq := make([]podReq, 0, n)
-	for _, p := range pods {
-		for _, ri := range p.reqs {
-			seq = append(seq, podReq{p: p, ri: ri})
-		}
-	}
-	sort.Slice(seq, func(i, j int) bool { return seq[i].ri < seq[j].ri })
-
-	s := newHostSim(cfg, hostIdx)
-	arrs := make([]arrival, len(seq)) // one backing array, not n closures
-	for i, q := range seq {
-		arrs[i] = arrival{p: q.p, r: tr.Requests[q.ri]}
-		s.clock.Schedule(arrs[i].r.Start, s.arriveFn, &arrs[i])
-	}
-	// Faults seed after the arrivals: a same-instant arrival beats the
-	// fault (matching the stream path, which runs only strictly-earlier
-	// events before feeding an arrival), while same-instant completions
-	// and expiries — scheduled later, at runtime — fire after it. A
-	// pod-less host seeds nothing, matching the stream path's lazy sim
-	// creation (and the oracle's empty-host early return): faults on a
-	// host that never serves are unobservable everywhere.
-	if len(seq) > 0 {
-		s.seedFaults(hostIdx)
-	}
-	return s.finish()
-}
-
-// arrival is one seeded batch-path arrival, carried by the scheduled
-// event's arg slot.
-type arrival struct {
-	p *pod
-	r trace.Request
 }
 
 // probe runs the CFS cross-check on this host's peak-demand snapshot.
@@ -480,8 +420,8 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 	s.account(now)
 	if s.drainDepth != 0 || s.downDepth != 0 {
 		// The host is draining or down: queue the arrival (copying the
-		// request — stream batch buffers are pooled) for FIFO replay at
-		// the accepting transition.
+		// request — batch buffers are recycled) for FIFO replay at the
+		// accepting transition.
 		s.deferred = append(s.deferred, deferredReq{p: p, r: *r})
 		s.res.deferredReqs++
 		return

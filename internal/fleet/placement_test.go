@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +24,7 @@ func TestPlacementNeverOverCommits(t *testing.T) {
 		cfg := trace.DefaultGeneratorConfig()
 		cfg.Requests = 400
 		cfg.Seed = seed
-		tr := trace.Generate(cfg)
-		pods, err := buildPods(tr)
+		pods, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +73,7 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig()
 	cfg.Requests = 3000
 	cfg.Seed = 99
-	tr := trace.Generate(cfg)
-	pods, err := buildPods(tr)
+	pods, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,31 +161,55 @@ func TestPolicyCharacteristics(t *testing.T) {
 	}
 }
 
+// TestBuildPodsGrouping checks the pods fleet.Place builds from a
+// trace: one assignment per pod of the request scan, in order of first
+// arrival, each listing exactly its own requests in arrival order,
+// opening with the pod's cold start and ending within the pod's
+// extent.
 func TestBuildPodsGrouping(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig()
 	cfg.Requests = 2000
 	cfg.Seed = 5
 	tr := trace.Generate(cfg)
-	pods, err := buildPods(tr)
+	policy, err := NewPolicy("least-loaded")
 	if err != nil {
 		t.Fatal(err)
 	}
+	as, err := Place(Config{Hosts: 4, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 5}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(as) != len(pods) {
+		t.Fatalf("Place returned %d pods, the scan found %d", len(as), len(pods))
+	}
 	total := 0
-	for i, p := range pods {
-		total += len(p.reqs)
-		if i > 0 && pods[i-1].first > p.first {
+	for i, a := range as {
+		p := pods[i]
+		if a.PodID != p.id || len(a.Requests) != p.nreqs {
+			t.Fatalf("assignment %d is pod %d with %d requests, scan has pod %d with %d",
+				i, a.PodID, len(a.Requests), p.id, p.nreqs)
+		}
+		total += len(a.Requests)
+		if i > 0 && tr.Requests[as[i-1].Requests[0]].Start > tr.Requests[a.Requests[0]].Start {
 			t.Fatal("pods not sorted by first arrival")
 		}
-		for j, ri := range p.reqs {
+		for j, ri := range a.Requests {
 			r := tr.Requests[ri]
-			if r.PodID != p.id {
-				t.Fatalf("pod %d holds foreign request %d", p.id, ri)
+			if r.PodID != a.PodID {
+				t.Fatalf("pod %d holds foreign request %d", a.PodID, ri)
+			}
+			if j > 0 && ri <= a.Requests[j-1] {
+				t.Fatalf("pod %d requests out of arrival order at %d", a.PodID, j)
 			}
 			if j == 0 && !r.ColdStart {
-				t.Errorf("pod %d first request not a cold start", p.id)
+				t.Errorf("pod %d first request not a cold start", a.PodID)
 			}
 			if end := r.Start + r.Turnaround(); end > p.last {
-				t.Errorf("pod %d last %v before request end %v", p.id, p.last, end)
+				t.Errorf("pod %d last %v before request end %v", a.PodID, p.last, end)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"time"
 
 	"slscost/internal/scenario"
@@ -13,10 +14,10 @@ import (
 // (internal/scenario/diffsim) replays hosts independently from.
 
 // SimulateScenario synthesizes sc's trace under scfg and replays it
-// through Simulate, labeling the report with the scenario name. The
-// synthesized trace is returned alongside the report so callers can
-// reuse it (CSV export, differential verification) without paying for a
-// second synthesis.
+// through Simulate, labeling the report with the scenario name: the
+// report SimulateScenarioStream returns, plus the synthesized trace,
+// so callers can reuse it (CSV export, differential verification)
+// without paying for a second synthesis.
 func SimulateScenario(cfg Config, sc scenario.Scenario, scfg scenario.Config) (Report, *trace.Trace, error) {
 	tr, err := sc.Trace(scfg)
 	if err != nil {
@@ -54,12 +55,13 @@ func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pods, err := buildPods(tr)
+	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
 	if err != nil {
 		return nil, err
 	}
 	placeAll(cfg, pods)
 	out := make([]PodAssignment, len(pods))
+	byID := make(map[int]*PodAssignment, len(pods))
 	for i, p := range pods {
 		out[i] = PodAssignment{
 			PodID:        p.id,
@@ -68,8 +70,13 @@ func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 			VCPU:         p.vcpu,
 			MemMB:        p.memMB,
 			InitDuration: p.initMs,
-			Requests:     p.reqs,
+			Requests:     make([]int, 0, p.nreqs),
 		}
+		byID[p.id] = &out[i]
+	}
+	for i, r := range tr.Requests {
+		a := byID[r.PodID]
+		a.Requests = append(a.Requests, i)
 	}
 	return out, nil
 }

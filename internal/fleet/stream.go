@@ -11,21 +11,21 @@ import (
 	"slscost/internal/trace"
 )
 
-// This file is the streaming replay path: Simulate's semantics over a
-// trace.Source instead of a materialized trace, with memory bounded by
-// the pod count (placement metadata) and the live simulation state
-// rather than the request count.
+// This file is the replay pipeline, the simulator's only one: a
+// cluster replay over a trace.Source, with memory bounded by the pod
+// count (placement metadata) and the live simulation state rather than
+// the request count. Simulate is this pipeline over a materialized
+// trace.
 //
-// The pipeline makes two passes over the source. Pass 1 streams the
-// requests once to build per-pod placement metadata (flavor, first
-// arrival, last turnaround end, request count — everything placeAll
-// needs, and nothing per-request), then runs the exact sequential
-// placement pass the batch path runs. Pass 2 re-opens the source and
-// routes each request, still in global arrival order, into per-shard
-// bounded channels; shard workers advance their hosts' private clocks
-// concurrently with generation, so host simulation overlaps trace
-// synthesis instead of waiting for it. Per-host results are merged in
-// host order, so the report is bit-identical to Simulate's and
+// The pipeline makes two passes over the source. Pass 1 builds
+// per-pod placement metadata (flavor, first arrival, last turnaround
+// end, request count — everything placeAll needs, and nothing
+// per-request), then runs the sequential placement pass. Pass 2
+// re-opens the source and routes each request, still in global arrival
+// order, into per-shard bounded channels; shard workers advance their
+// hosts' private clocks concurrently with generation, so host
+// simulation overlaps trace synthesis instead of waiting for it.
+// Per-host results are merged in host order, so the report is
 // independent of the worker count.
 
 const (
@@ -113,10 +113,10 @@ func (ix *podIndex) get(id int) *pod {
 // and scenario streams can, from a timing-only walk), the per-request
 // scan is skipped entirely; the metadata is identical by the
 // generator's and the re-timer's contracts, which
-// TestPodScanMatchesRequestScan pins. Otherwise it
-// enforces the same input contract as the batch path's buildPods:
-// requests sorted by arrival, per-pod flavors constant. Cancelling ctx
-// stops the scan within cancelCheckMask+1 pulls.
+// TestPodScanMatchesRequestScan pins. Otherwise it enforces the
+// replay's input contract: requests sorted by arrival, per-pod flavors
+// constant. Cancelling ctx stops the scan within cancelCheckMask+1
+// pulls.
 func scanPods(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 	if sc, ok := s.(trace.PodScanner); ok {
 		metas := sc.PodScan()
@@ -194,13 +194,12 @@ func scanPodsSlow(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 }
 
 // SimulateStream replays a re-openable request stream through the
-// cluster and returns the same report Simulate would produce for the
-// materialized trace — byte-identical, for any worker count — without
-// ever holding the trace in memory. The source is opened twice (the
-// placement scan and the replay must see the same sequence; for seeded
-// generators reopening just re-derives the stream). Host workers
-// simulate concurrently with the second pass, so trace synthesis and
-// cluster replay overlap.
+// cluster and returns the cluster-wide report, identical for any
+// worker count, without ever holding the trace in memory. The source
+// is opened twice (the placement scan and the replay must see the same
+// sequence; for seeded generators reopening just re-derives the
+// stream). Host workers simulate concurrently with the second pass, so
+// trace synthesis and cluster replay overlap.
 //
 // Cancelling ctx makes the call return ctx.Err() promptly: both passes
 // poll the context every cancelCheckMask+1 requests, so a cancelled
@@ -397,10 +396,10 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 	return mergeReport(cfg, workers, total, ps, rejectedReqs, results)
 }
 
-// SimulateScenarioStream is SimulateScenario on the streaming path:
-// the scenario's trace is synthesized lazily and consumed by
-// SimulateStream, so the workload never materializes. The report is
-// byte-identical to SimulateScenario's. Cancellation follows
+// SimulateScenarioStream replays sc's workload under scfg: the
+// scenario's trace is synthesized lazily and consumed by
+// SimulateStream, so the workload never materializes. SimulateScenario
+// is the same replay over the collected trace. Cancellation follows
 // SimulateStream's contract: ctx.Err() returns promptly.
 func SimulateScenarioStream(ctx context.Context, cfg Config, sc scenario.Scenario, scfg scenario.Config) (Report, error) {
 	rep, err := SimulateStream(ctx, cfg, sc.Source(scfg))

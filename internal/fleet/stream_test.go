@@ -45,9 +45,9 @@ func renderReport(rep Report) string {
 	return buf.String()
 }
 
-// TestSimulateStreamMatchesSimulate is the tentpole acceptance
-// property: for every catalog scenario, the streamed pipeline's report
-// is byte-identical (WriteText) to the materialized one.
+// TestSimulateStreamMatchesSimulate pins that SimulateScenario stays a
+// view of the streaming pipeline: for every catalog scenario, its
+// report is byte-identical (WriteText) to SimulateScenarioStream's.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	for _, sc := range scenario.Catalog() {
 		sc := sc
@@ -179,11 +179,12 @@ func TestSimulateStreamStatefulPolicy(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamExactTie pins tie handling between the two paths:
-// two requests from different pods arriving at the exact same
-// nanosecond — rare in generated traces but expected at 10M+ requests
-// once float arrivals quantize — must execute in the same order on the
-// batch and streaming paths. The flavors are asymmetric and the tied
+// TestSimulateStreamExactTie pins tie handling across the replay's
+// entry points: two requests from different pods arriving at the exact
+// same nanosecond — rare in generated traces but expected at 10M+
+// requests once float arrivals quantize — must execute in the same
+// order whether the trace is replayed through Simulate or streamed
+// through SimulateStream. The flavors are asymmetric and the tied
 // demand exceeds host capacity, so a divergent order would change the
 // admission-time contention factor and with it latency and billing.
 func TestSimulateStreamExactTie(t *testing.T) {

@@ -24,7 +24,7 @@ type Config struct {
 	// Host is the per-host capacity (zero value: fleet.DefaultHostSpec).
 	Host fleet.HostSpec
 	// Hosts is the pool size for candidates that do not pin their own
-	// (Candidate.Hosts == 0).
+	// (Candidate.Hosts == 0); zero means DefaultHosts.
 	Hosts int
 	// Scenarios are the workloads every candidate is evaluated on; nil
 	// means the full scenario catalog.
@@ -61,13 +61,17 @@ type Config struct {
 	OnResult func(Result)
 }
 
+// DefaultHosts is the pool size a sweep runs candidates on when
+// neither the Config nor the candidate sets one.
+const DefaultHosts = 16
+
 // withDefaults resolves the zero values.
 func (cfg Config) withDefaults() Config {
 	if cfg.Host == (fleet.HostSpec{}) {
 		cfg.Host = fleet.DefaultHostSpec()
 	}
 	if cfg.Hosts == 0 {
-		cfg.Hosts = 16
+		cfg.Hosts = DefaultHosts
 	}
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = scenario.Catalog()

@@ -189,7 +189,7 @@ func VerifyStream(ctx context.Context, cfg fleet.Config, src trace.Source, tol f
 	if err != nil {
 		return nil, rep, err
 	}
-	agg, err := Replay(cfg, trace.Collect(s))
+	agg, err := Replay(cfg, trace.Collect(s, rep.Requests))
 	if err != nil {
 		return nil, rep, err
 	}

@@ -8,14 +8,10 @@ import (
 	"slscost/internal/trace"
 )
 
-// This file is the streaming face of the scenario engine: the same
-// shape-modulated renewal re-timing Trace applies to a materialized
-// base trace, applied lazily to per-function generator streams and
-// merged by arrival time. Memory is O(tenants × functions) instead of
-// O(requests), and the emitted sequence is bit-identical to Trace's —
-// the fleet simulator's streamed and materialized paths must agree to
-// the byte, so the re-timer draws the exact per-function random
-// streams retime does.
+// This file is the scenario engine's synthesis pipeline: per tenant,
+// per function, a lazy generator stream re-timed as a shape-modulated
+// renewal process, all merged by arrival time. Memory is O(tenants ×
+// functions) instead of O(requests). Trace is this stream collected.
 
 // intensityFloor bounds how far a dead zone of a shape can stretch
 // inter-arrival gaps (10^4×), so traces terminate even under shapes
@@ -24,8 +20,12 @@ const intensityFloor = 1e-4
 
 // renewal is one function's shape-modulated renewal clock: the gap to
 // each request scales inversely with the shape's local intensity, and
-// the request's execution then advances the clock. The in-place
-// re-timer, the streaming re-timer and the pod scan all step it.
+// the request's execution then advances the clock. A function with n
+// requests gets a base mean gap of horizon/n, so all functions span
+// about one period and popularity maps to density: droughts stretch
+// idle time past keep-alive windows, bursts collapse it, while pod
+// membership, durations, and flavors are untouched. The re-timer and
+// the pod scan both step it.
 type renewal struct {
 	shape   Shape
 	mean    float64 // shape's mean intensity (normalizer)
@@ -183,12 +183,12 @@ func scanPods(plans []streamPlan, h float64) []trace.PodMeta {
 }
 
 // Stream synthesizes the scenario's trace as a time-ordered request
-// stream without materializing it: per tenant, per function, a lazy
-// generator stream is wrapped in the renewal re-timer, and all streams
-// merge by arrival. The emitted sequence is identical to Trace(cfg)'s,
-// ties included (the merge's tenant-major, function-minor tie order is
-// the order Trace's stable sorts leave simultaneous arrivals in), with
-// memory bounded by tenants × functions instead of the request count.
+// stream without materializing it: per tenant, per function, a calibrated
+// base generator stream supplies functions, pods, durations, flavors,
+// and cold-start structure, the tenant's shape re-times its arrivals
+// on a renewal clock, and all streams merge by arrival, simultaneous
+// arrivals in tenant-major, function-minor order. Memory is bounded by
+// tenants × functions instead of the request count.
 func (s Scenario) Stream(cfg Config) (trace.Stream, error) {
 	plans, err := s.streamPlans(cfg)
 	if err != nil {

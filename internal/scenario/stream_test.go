@@ -6,11 +6,10 @@ import (
 	"slscost/internal/trace"
 )
 
-// TestStreamMatchesTrace is the scenario streaming contract: for every
-// catalog scenario (and a fanned-out multi-tenant derivation),
-// Collect(Stream(cfg)) is bit-identical to Trace(cfg) — the lazy
-// per-function re-timers plus merge reproduce the materialize-retime-
-// sort path exactly.
+// TestStreamMatchesTrace pins that Trace stays a view of the one
+// synthesis pipeline: for every catalog scenario (and a fanned-out
+// multi-tenant derivation), Collect(Stream(cfg)) is bit-identical to
+// Trace(cfg).
 func TestStreamMatchesTrace(t *testing.T) {
 	for _, sc := range Catalog() {
 		for _, tenants := range []int{1, 3} {
@@ -25,7 +24,7 @@ func TestStreamMatchesTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s tenants=%d: Stream: %v", sc.Name, tenants, err)
 			}
-			got := trace.Collect(s)
+			got := trace.Collect(s, cfg.Base.Requests)
 			if got.Len() != want.Len() {
 				t.Fatalf("%s tenants=%d: stream emitted %d requests, Trace %d",
 					sc.Name, tenants, got.Len(), want.Len())

@@ -399,10 +399,9 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 // RunBefore runs events strictly earlier than deadline, leaving the
 // clock at the last executed event's instant. Unlike RunUntil it never
 // advances the clock to the deadline itself and never runs events
-// scheduled exactly at it — the streaming cluster simulator uses this
-// to interleave externally driven arrivals with queued completions
-// while preserving the batch scheduler's tie order (an arrival at t
-// fires before any event queued at t).
+// scheduled exactly at it — the cluster simulator uses this to
+// interleave externally driven arrivals with queued completions, so an
+// arrival at t goes before any event queued at t.
 func (c *Clock) RunBefore(deadline time.Duration) {
 	for {
 		it := c.peek()

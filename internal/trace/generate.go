@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"slscost/internal/stats"
@@ -330,9 +329,8 @@ func (w *timingWalk) init() time.Duration {
 }
 
 // fnEmitter generates one function's requests: each timing step plus
-// the request's utilization pair. Both the materialized path (Generate)
-// and the streaming path (GenerateStream, GenerateByFunction) emit
-// through it, so the emitted trace is identical by construction.
+// the request's utilization pair. Every request the generator emits
+// comes out of one.
 type fnEmitter struct {
 	timingWalk
 	util  *stats.Rand // per-request utilization stream
@@ -383,37 +381,11 @@ func (e *fnEmitter) next(r *Request) bool {
 	return true
 }
 
-// Generate produces a synthetic trace under cfg. The result is sorted by
-// arrival time and always passes (*Trace).Validate. GenerateStream
-// yields the identical request sequence without materializing it.
+// Generate produces a synthetic trace under cfg: GenerateStream's
+// request sequence, collected. The result is sorted by arrival time
+// and always passes (*Trace).Validate.
 func Generate(cfg GeneratorConfig) *Trace {
-	if cfg.Requests <= 0 {
-		return &Trace{}
-	}
-	cfg = cfg.sanitize()
-	rng := stats.NewRand(cfg.Seed)
-	profiles, totalWeight := buildProfiles(rng, cfg)
-	counts := requestCounts(cfg, profiles, totalWeight)
-
-	reqs := make([]Request, 0, cfg.Requests)
-	podBase := 0
-	for fn, p := range profiles {
-		e := newFnEmitter(cfg.Seed, fn, p, counts[fn], cfg.UtilCorrelation, podBase)
-		var r Request
-		for e.next(&r) {
-			reqs = append(reqs, r)
-		}
-		podBase = e.podID
-	}
-
-	rescaleDurations(reqs, cfg.MeanDurationMs)
-	// Stable sort over the function-major generation order: requests at
-	// the same instant (possible once float arrivals quantize to
-	// nanoseconds at large trace sizes) order by function index — the
-	// exact tie rule GenerateStream's merge applies, keeping the two
-	// paths bit-identical even on ties.
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Start < reqs[j].Start })
-	return &Trace{Requests: reqs}
+	return Collect(GenerateStream(cfg), cfg.Requests)
 }
 
 // pickFlavorIndex draws a flavor index according to flavorWeights.
@@ -469,26 +441,6 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// rescaleDurations scales every duration (and CPU time, to preserve
-// utilization rates) so the trace mean matches target exactly.
-func rescaleDurations(reqs []Request, targetMs float64) {
-	if len(reqs) == 0 {
-		return
-	}
-	var sum float64
-	for _, r := range reqs {
-		sum += float64(r.Duration) / float64(time.Millisecond)
-	}
-	mean := sum / float64(len(reqs))
-	if mean <= 0 {
-		return
-	}
-	k := targetMs / mean
-	for i := range reqs {
-		reqs[i].rescale(k)
-	}
 }
 
 // rescale scales r's duration and CPU time by k, preserving its

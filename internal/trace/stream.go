@@ -10,12 +10,12 @@ import (
 
 // This file is the streaming face of the trace layer: an iterator
 // abstraction over time-ordered request sequences, adapters between
-// streams and materialized traces, and a streaming generator that emits
-// the exact request sequence Generate materializes — in arrival order,
-// with memory bounded by the function count rather than the request
-// count. internal/scenario re-times these streams per function and
-// internal/fleet consumes them for cluster simulations far larger than
-// memory would allow a materialized trace.
+// streams and materialized traces, and the streaming generator — the
+// generator's only implementation, emitting in arrival order with
+// memory bounded by the function count rather than the request count.
+// Generate is this stream collected. internal/scenario re-times these
+// streams per function and internal/fleet consumes them for cluster
+// simulations far larger than memory would allow a materialized trace.
 
 // Stream is a pull iterator over requests in non-decreasing arrival
 // (Start) order. Next returns the next request and true, or a zero
@@ -101,11 +101,18 @@ func SourceOf(tr *Trace) Source {
 }
 
 // Collect drains a stream into a materialized trace. It is the inverse
-// of FromTrace: Collect(FromTrace(tr)) reproduces tr exactly, and
-// Collect(GenerateStream(cfg)) equals Generate(cfg).
-func Collect(s Stream) *Trace {
+// of FromTrace: Collect(FromTrace(tr), tr.Len()) reproduces tr exactly.
+// n is the expected request count, the initial capacity of the
+// result's slice (0 when unknown); with it right, collecting allocates
+// the slice once.
+func Collect(s Stream, n int) *Trace {
 	tr := &Trace{}
-	for r, ok := s.Next(); ok; r, ok = s.Next() {
+	if n > 0 {
+		tr.Requests = make([]Request, 0, n)
+	}
+	next := NextIntoFunc(s)
+	var r Request
+	for next(&r) {
 		tr.Requests = append(tr.Requests, r)
 	}
 	return tr
@@ -113,9 +120,9 @@ func Collect(s Stream) *Trace {
 
 // FunctionStream yields one function's requests in generation order,
 // which for the generator is also strictly increasing arrival order.
-// Durations arrive already rescaled to the configured trace mean, so a
-// FunctionStream's requests are bit-identical to the matching subset of
-// Generate's output.
+// Durations arrive already rescaled to the configured trace mean: a
+// FunctionStream's requests are exactly its function's requests in
+// the merged GenerateStream.
 type FunctionStream struct {
 	fn    int
 	count int
@@ -143,7 +150,7 @@ func (f *FunctionStream) NextInto(r *Request) bool {
 		return false
 	}
 	if f.scale > 0 {
-		r.rescale(f.scale) // exactly as rescaleDurations does
+		r.rescale(f.scale)
 	}
 	return true
 }
@@ -370,25 +377,10 @@ func (c *Calibration) AppendPodMetas(dst []PodMeta, clocks func(fn, n int) Clock
 	return dst
 }
 
-// GenerateByFunction returns one time-ordered stream per function of
-// the trace Generate(cfg) would materialize, plus the total pod count.
-// The union of the streams is exactly Generate's request multiset; the
-// scenario engine re-times each function's stream independently and
-// GenerateStream merges them back into one globally ordered stream.
-// Callers opening the same configuration repeatedly should Calibrate
-// once and call Streams per opening.
-func GenerateByFunction(cfg GeneratorConfig) ([]*FunctionStream, int) {
-	c := Calibrate(cfg)
-	return c.Streams(), c.Pods()
-}
-
-// GenerateStream emits the trace Generate(cfg) materializes as a
-// time-ordered stream with O(Functions) memory: per-function emitters
-// merged by arrival time. The emitted sequence is identical to
-// Generate's, ties included: simultaneous arrivals merge in function
-// order, which is exactly the order Generate's stable sort leaves them
-// in (its pre-sort layout is function-major, and arrivals within one
-// function are strictly increasing).
+// GenerateStream emits the synthetic trace under cfg as a time-ordered
+// stream with O(Functions) memory: per-function emitters merged by
+// arrival time, simultaneous arrivals in function order. Generate is
+// this stream collected.
 func GenerateStream(cfg GeneratorConfig) Stream {
 	return Calibrate(cfg).Stream()
 }

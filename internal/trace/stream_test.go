@@ -6,31 +6,33 @@ import (
 )
 
 // TestCollectFromTraceRoundTrip is the adapter round-trip property:
-// Collect(FromTrace(tr)) reproduces tr exactly, for generated traces of
-// several sizes including empty.
+// Collect(FromTrace(tr), n) reproduces tr exactly, for generated traces
+// of several sizes including empty, whatever capacity n suggests.
 func TestCollectFromTraceRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 17, 5000} {
 		cfg := DefaultGeneratorConfig()
 		cfg.Requests = n
 		tr := Generate(cfg)
-		got := Collect(FromTrace(tr))
-		if got.Len() != tr.Len() {
-			t.Fatalf("requests=%d: round-trip length %d != %d", n, got.Len(), tr.Len())
-		}
-		for i := range tr.Requests {
-			if got.Requests[i] != tr.Requests[i] {
-				t.Fatalf("requests=%d: request %d drifted: %+v vs %+v",
-					n, i, got.Requests[i], tr.Requests[i])
+		for _, hint := range []int{0, n / 2, n, 2 * n} {
+			got := Collect(FromTrace(tr), hint)
+			if got.Len() != tr.Len() {
+				t.Fatalf("requests=%d hint=%d: round-trip length %d != %d", n, hint, got.Len(), tr.Len())
+			}
+			for i := range tr.Requests {
+				if got.Requests[i] != tr.Requests[i] {
+					t.Fatalf("requests=%d hint=%d: request %d drifted: %+v vs %+v",
+						n, hint, i, got.Requests[i], tr.Requests[i])
+				}
 			}
 		}
 	}
 }
 
-// TestGenerateStreamMatchesGenerate is the streaming generator's core
-// contract: Collect(GenerateStream(cfg)) is bit-identical to
-// Generate(cfg) across seeds, sizes, skews, and flavor biases — the
-// per-function lazy emitters plus merge reproduce the materialize-and-
-// sort path exactly.
+// TestGenerateStreamMatchesGenerate pins that Generate stays a view of
+// the one generator: Collect(GenerateStream(cfg)) is bit-identical to
+// Generate(cfg) across seeds, sizes, skews, and flavor biases.
+// TestMaterializedEqualsStreamAtScale repeats the check at 1M
+// requests.
 func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	cases := []GeneratorConfig{
 		{}, // zero config: both paths must yield an empty trace
@@ -48,7 +50,7 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		want := Generate(cfg)
-		got := Collect(GenerateStream(cfg))
+		got := Collect(GenerateStream(cfg), 0)
 		if got.Len() != want.Len() {
 			t.Fatalf("cfg %+v: stream emitted %d requests, Generate %d", cfg, got.Len(), want.Len())
 		}
@@ -88,14 +90,15 @@ func TestGenerateStreamOrdered(t *testing.T) {
 	}
 }
 
-// TestGenerateByFunctionPartition checks that the per-function streams
-// partition the generated trace: each stream carries exactly its
-// function's requests, in order, with the advertised count, and the
-// reported pod total matches the trace's.
+// TestGenerateByFunctionPartition checks that a calibration's
+// per-function streams partition the generated trace: each stream
+// carries exactly its function's requests, in order, with the
+// advertised count, and the calibrated pod total matches the trace's.
 func TestGenerateByFunctionPartition(t *testing.T) {
 	cfg := DefaultGeneratorConfig()
 	cfg.Requests = 4000
-	fns, pods := GenerateByFunction(cfg)
+	cal := Calibrate(cfg)
+	fns, pods := cal.Streams(), cal.Pods()
 	tr := Generate(cfg)
 
 	byFn := make(map[int][]Request)
@@ -117,7 +120,7 @@ func TestGenerateByFunctionPartition(t *testing.T) {
 		if f.Len() != len(want) {
 			t.Fatalf("fn %d: Len %d, trace has %d", f.FnID(), f.Len(), len(want))
 		}
-		got := Collect(f)
+		got := Collect(f, f.Len())
 		if !reflect.DeepEqual(got.Requests, want) && !(len(want) == 0 && got.Len() == 0) {
 			t.Fatalf("fn %d: stream requests differ from trace subset", f.FnID())
 		}
@@ -129,11 +132,34 @@ func TestGenerateByFunctionPartition(t *testing.T) {
 func TestMergeTieBreak(t *testing.T) {
 	a := &Trace{Requests: []Request{{FnID: 0, Start: 10}, {FnID: 0, Start: 30}}}
 	b := &Trace{Requests: []Request{{FnID: 1, Start: 10}, {FnID: 1, Start: 20}}}
-	got := Collect(Merge(FromTrace(a), FromTrace(b)))
+	got := Collect(Merge(FromTrace(a), FromTrace(b)), 0)
 	wantFns := []int{0, 1, 1, 0}
 	for i, r := range got.Requests {
 		if r.FnID != wantFns[i] {
 			t.Fatalf("position %d: fn %d, want %d (order %+v)", i, r.FnID, wantFns[i], got.Requests)
 		}
+	}
+}
+
+// TestCollectAllocsFlat pins Collect's presizing: with the expected
+// request count as its capacity hint, collecting a generator stream
+// allocates the result once, so the allocation count does not grow
+// with the trace. Without the hint the slice would regrow, and a pull
+// through Next would move a Request to the heap per call.
+func TestCollectAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		cfg := DefaultGeneratorConfig()
+		cfg.Requests = n
+		cal := Calibrate(cfg)
+		return testing.AllocsPerRun(2, func() {
+			if got := Collect(cal.Stream(), n); got.Len() != n {
+				t.Fatalf("collected %d requests, want %d", got.Len(), n)
+			}
+		})
+	}
+	small, large := allocs(20_000), allocs(100_000)
+	t.Logf("Collect allocations: %.0f at 20k requests, %.0f at 100k", small, large)
+	if large > small+100 {
+		t.Errorf("Collect allocates %.0f times at 100k requests against %.0f at 20k: not presized", large, small)
 	}
 }

@@ -1,7 +1,9 @@
 package slscost
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"slscost/internal/core"
 	"slscost/internal/fleet"
+	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
 
@@ -99,6 +102,72 @@ func TestStreamBoundedMemory(t *testing.T) {
 	if grew > heapLimit {
 		t.Errorf("streamed simulation grew the live heap by %.1f MB, budget %d MB — "+
 			"is the pipeline materializing the trace?", float64(grew)/(1<<20), heapLimit>>20)
+	}
+}
+
+// TestMaterializedEqualsStreamAtScale holds the materialized views to
+// the streaming pipeline at the scale the benchmarks run, where a
+// second implementation would drift first (float sums over a million
+// durations move the last bits): trace.Generate equals the collected
+// GenerateStream, and fleet.SimulateScenario's report marshals to the
+// same JSON as SimulateScenarioStream's, at 1M requests.
+func TestMaterializedEqualsStreamAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-request traces; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("1M-request traces are too slow under race instrumentation")
+	}
+	const requests = 1_000_000
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = requests
+	gen.Seed = 20260613
+	want, got := trace.Generate(gen), trace.Collect(trace.GenerateStream(gen), 0)
+	if got.Len() != want.Len() {
+		t.Fatalf("stream emitted %d requests, Generate %d", got.Len(), want.Len())
+	}
+	for i := range want.Requests {
+		if got.Requests[i] != want.Requests[i] {
+			t.Fatalf("request %d differs:\nstream:   %+v\ngenerate: %+v", i, got.Requests[i], want.Requests[i])
+		}
+	}
+	want, got = nil, nil
+
+	policy, err := fleet.NewPolicy("least-loaded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fleet.Config{
+		Hosts:      32,
+		Host:       fleet.DefaultHostSpec(),
+		Policy:     policy,
+		Profile:    core.AWS(),
+		Overcommit: 2,
+		Seed:       20260613,
+	}
+	sc, ok := scenario.ByName("steady")
+	if !ok {
+		t.Fatal("no steady scenario")
+	}
+	scfg := scenario.Config{Base: gen, Tenants: 1}
+	mat, _, err := fleet.SimulateScenario(cfg, sc, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := fleet.SimulateScenarioStream(context.Background(), cfg, sc, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("SimulateScenario and SimulateScenarioStream reports differ at %d requests:\n%s\nvs\n%s", requests, a, b)
 	}
 }
 
