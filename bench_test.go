@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"slscost/internal/api"
 	"slscost/internal/billing"
 	"slscost/internal/cfs"
 	"slscost/internal/core"
@@ -21,6 +22,7 @@ import (
 	"slscost/internal/opt"
 	"slscost/internal/platform"
 	"slscost/internal/scenario"
+	"slscost/internal/scenario/diffsim"
 	"slscost/internal/trace"
 	"slscost/internal/workload"
 )
@@ -292,6 +294,40 @@ func BenchmarkPolicySweep(b *testing.B) {
 			b.SetBytes(int64(space.Size() * len(scs) * base.Requests))
 		})
 	}
+}
+
+// BenchmarkVerifyStream measures one differential verification in the
+// shape of the daemon's scenario.verify job: the default simulate
+// parameters (32 hosts, least-loaded placement, aws-lambda) over a
+// compiled flash-crowd plan at 50k requests, streamed through the fleet
+// and then replayed host by host by the independent oracle. SetBytes
+// counts requests, so bytes/sec doubles as requests/sec. Run with:
+//
+//	go test -run '^$' -bench BenchmarkVerifyStream -benchmem .
+func BenchmarkVerifyStream(b *testing.B) {
+	p := api.DefaultSimulateParams()
+	p.Scenario = "flash-crowd"
+	p.Requests = 50_000
+	fc, sc, scfg, err := api.SimulateConfigs(p, 20260613)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sc.Compile(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, err := diffsim.VerifyStream(context.Background(), fc, plan.Source(), diffsim.DefaultTolerance)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.MaxRelDelta != 0 {
+			b.Fatalf("oracle disagrees: max rel delta %g (first mismatch %s)", res.MaxRelDelta, res.FirstMismatch(0))
+		}
+	}
+	b.SetBytes(int64(p.Requests))
 }
 
 // BenchmarkScenarioTrace measures workload-scenario synthesis (base

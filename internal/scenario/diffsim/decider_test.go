@@ -51,9 +51,8 @@ func checkDeciderAgreement(t *testing.T, cfg fleet.Config, trName string, reques
 			}
 		}
 	}
-	if res.MaxRelDelta > DefaultTolerance {
-		t.Fatalf("max rel delta %v (first mismatch %s)",
-			res.MaxRelDelta, res.FirstMismatch(DefaultTolerance))
+	if err := checkExact(res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -101,9 +100,8 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 			if rep.EvictedSandboxes+rep.KilledRequests+rep.DeferredRequests == 0 {
 				t.Fatal("fault plan perturbed nothing")
 			}
-			if res.MaxRelDelta > DefaultTolerance {
-				t.Fatalf("max rel delta %v (first mismatch %s)",
-					res.MaxRelDelta, res.FirstMismatch(DefaultTolerance))
+			if err := checkExact(res); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -117,7 +115,11 @@ func TestAdaptiveAcrossPlatforms(t *testing.T) {
 		for _, mode := range []keepalive.Mode{keepalive.ModeAdaptive, keepalive.ModeBandit} {
 			cfg := deciderConfig(t, mode, "bin-pack", prof, 6)
 			tr := scenarioTrace(t, "bursty", 6000)
-			if _, _, err := Verify(cfg, tr, DefaultTolerance); err != nil {
+			res, _, err := Verify(cfg, tr, DefaultTolerance)
+			if err == nil {
+				err = checkExact(res)
+			}
+			if err != nil {
 				t.Errorf("%s/%s: %v", prof.Name, mode, err)
 			}
 		}

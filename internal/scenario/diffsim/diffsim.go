@@ -1,19 +1,24 @@
 // Package diffsim is the differential verification harness for the
 // cluster simulator: it replays a fleet configuration's placement with
-// an independent, single-threaded per-host interpreter built directly
-// on the keep-alive, billing, and cfs models, and cross-checks the
-// aggregate report internal/fleet produces against it.
+// an independent per-host interpreter built directly on the keep-alive,
+// billing, and cfs models, and cross-checks the aggregate report
+// internal/fleet produces against it.
 //
 // internal/fleet simulates each host as callbacks on a simtime.Clock
 // with cancellable timers, sharded across a worker pool. This package
 // re-derives the same quantities from the same inputs with a different
-// mechanism — one explicit chronological sweep per host over a flat
-// event heap, with lazy (generation-counted) expiry invalidation and
-// sequential accounting — so a bookkeeping bug in either implementation
-// surfaces as a disagreement. The per-host random stream contract
-// (fleet.ShardSeed, keep-alive windows drawn in event order) is shared,
-// which makes the expected agreement exact up to float summation order;
-// DefaultTolerance is far below any behavioral divergence.
+// mechanism — one explicit chronological sweep per host, which walks
+// the host's arrivals from a sorted slice and keeps only pending
+// events (faults, completions, expiries) on a typed heap, with lazy
+// (generation-counted) expiry invalidation and sequential accounting —
+// so a bookkeeping bug in either implementation surfaces as a
+// disagreement. Hosts are independent: Replay sweeps them on
+// fleet.Config.Workers goroutines and folds their tallies in host
+// order. The per-host random stream contract (fleet.ShardSeed,
+// keep-alive windows drawn in event order) is shared and every float is
+// summed in the fleet's order, so agreement is exact: every relative
+// delta is 0. VerifyStream's context cancels the oracle's replay as
+// well as the streamed simulation.
 //
 // Combined with internal/scenario, every workload scenario doubles as a
 // verification oracle: the ext-scenarios experiment and the fleetsim
@@ -21,12 +26,16 @@
 package diffsim
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"slscost/internal/billing"
@@ -37,8 +46,9 @@ import (
 	"slscost/internal/trace"
 )
 
-// DefaultTolerance is the relative disagreement the harness accepts:
-// float summation-order noise, orders of magnitude below any real
+// DefaultTolerance is the relative disagreement callers accept by
+// default. Observed deltas are exactly 0 (the oracle sums in the fleet's
+// order); the bound is headroom, orders of magnitude below any real
 // behavioral divergence.
 const DefaultTolerance = 1e-6
 
@@ -177,9 +187,13 @@ func Verify(cfg fleet.Config, tr *trace.Trace, tol float64) (*Result, fleet.Repo
 // the placement scan, and the incremental host clocks — against an
 // implementation that shares none of that machinery. Because the
 // replay materializes the trace, verification runs at oracle scale,
-// not at the streamed path's unbounded scale. Cancelling ctx stops the
-// streamed simulation promptly (fleet.SimulateStream's contract); the
-// materialized replay itself is not cancellable.
+// not at the streamed path's unbounded scale.
+//
+// Cancelling ctx stops the whole call promptly: the streamed
+// simulation within fleet.SimulateStream's bound, the oracle before it
+// collects the source and then within cancelCheckMask+1 events of each
+// host it is replaying. A cancelled call returns ctx.Err() and a nil
+// Result.
 func VerifyStream(ctx context.Context, cfg fleet.Config, src trace.Source, tol float64) (*Result, fleet.Report, error) {
 	rep, err := fleet.SimulateStream(ctx, cfg, src)
 	if err != nil {
@@ -189,7 +203,10 @@ func VerifyStream(ctx context.Context, cfg fleet.Config, src trace.Source, tol f
 	if err != nil {
 		return nil, rep, err
 	}
-	agg, err := Replay(cfg, trace.Collect(s, rep.Requests))
+	if err := ctx.Err(); err != nil {
+		return nil, rep, err
+	}
+	agg, err := replay(ctx, cfg, trace.Collect(s, rep.Requests))
 	if err != nil {
 		return nil, rep, err
 	}
@@ -261,10 +278,18 @@ func relDelta(a, b float64) float64 {
 }
 
 // Replay places the trace with the fleet's own sequential placement
-// pass, then replays every host with the independent interpreter and
-// folds results in host order (mirroring the fleet's merge discipline
-// so float sums are comparable).
+// pass, then replays every host with the independent interpreter,
+// cfg.Workers hosts at a time (zero means GOMAXPROCS), and folds the
+// per-host results in host order (mirroring the fleet's merge
+// discipline, so every float is summed in the same order whatever the
+// worker count).
 func Replay(cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
+	return replay(context.Background(), cfg, tr)
+}
+
+// replay is Replay under a context: cancelling ctx stops every host's
+// event loop within cancelCheckMask+1 events and returns ctx.Err().
+func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
 	// Stateful built-in policies (round-robin keeps a cursor) are
 	// re-instantiated so this placement pass starts clean even when the
 	// caller already ran fleet.Simulate with the same Config value. The
@@ -311,12 +336,16 @@ func Replay(cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
 		}
 	}
 
+	hosts, err := replayHosts(ctx, cfg, perHost, tr)
+	if err != nil {
+		return Aggregate{}, err
+	}
 	busy := make([]float64, cfg.Hosts)
 	lat := stats.NewLogHist(fleet.LatencyHistConfig())
 	slow := stats.NewLogHist(fleet.SlowdownHistConfig())
 	recov := stats.NewLogHist(fleet.RecoveryHistConfig())
-	for hi := 0; hi < cfg.Hosts; hi++ {
-		h := replayHost(cfg, hi, perHost[hi], tr)
+	for hi := range hosts {
+		h := &hosts[hi]
 		busy[hi] = h.busyVCPUSecs
 		if err := lat.Merge(h.lat); err != nil {
 			return Aggregate{}, err
@@ -394,48 +423,125 @@ func Replay(cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
 	return agg, nil
 }
 
-// Event kinds of the flat per-host sweep.
+// cancelCheckMask gates how often a host's event loop polls its
+// context: every (mask+1) events, the bound internal/fleet's streaming
+// loops keep too.
+const cancelCheckMask = 0x3ff
+
+// replayHosts runs replayHost for every host on cfg.Workers goroutines
+// (zero means GOMAXPROCS), each taking the next unreplayed host. Hosts
+// share only read-only inputs, so each host's state is the same
+// whichever goroutine replayed it; the caller folds them in host order.
+func replayHosts(ctx context.Context, cfg fleet.Config, perHost [][]fleet.PodAssignment, tr *trace.Trace) ([]hostState, error) {
+	workers := cfg.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	out := make([]hostState, cfg.Hosts)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, cfg.Hosts) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				hi := int(next.Add(1) - 1)
+				if hi >= len(out) || ctx.Err() != nil {
+					return
+				}
+				out[hi] = replayHost(ctx, cfg, hi, perHost[hi], tr)
+			}
+		}()
+	}
+	wg.Wait()
+	// A cancelled replay leaves hosts unreplayed or cut short: no
+	// aggregate is built from them.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// arrival is one request in a host's sorted arrival slice.
+type arrival struct {
+	at  time.Duration
+	pod int32 // pod slot (index into the host's pod list)
+	req int32 // trace request index
+}
+
+// Kinds of the pending events on a host's heap.
 const (
-	evArrive = iota
-	evComplete
+	evComplete = iota
 	evExpire
 	evFault
 )
 
-// event is one entry in the host's chronological heap. seq breaks
+// event is one pending runtime event on a host's heap. seq breaks
 // same-instant ties FIFO, matching simtime.Clock's scheduling-order
-// rule: all arrivals are seeded before the sweep starts, then the
-// fault plan, so at one instant arrivals fire first, then faults, then
-// runtime-scheduled completions and expiries — the exact order both
-// fleet replay paths produce.
+// rule. Arrivals never enter the heap: they are walked from the host's
+// sorted arrival slice and win every tie, as if all of them had been
+// seeded before the sweep starts. Then come the fault plan's events,
+// seeded in plan order, then the completions and expiries the sweep
+// schedules — so at one instant arrivals fire first, then faults, then
+// runtime events: the exact order the fleet replay produces.
 type event struct {
-	at   time.Duration
-	seq  uint64
-	kind int
-
-	pod   int         // pod slot (index into the host's pod list)
-	req   int         // trace request index (evArrive)
-	reqID int         // in-flight id (evComplete)
-	gen   int         // sandbox generation (evExpire); stale events are skipped
+	at    time.Duration
+	seq   uint64
+	pod   int32  // pod slot (index into the host's pod list)
+	reqID int32  // in-flight id (evComplete)
+	gen   uint32 // sandbox generation (evExpire); stale events are skipped
+	kind  uint8
 	fkind faults.Kind // fault effect (evFault)
 }
 
+// before orders events by (at, seq).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of pending events in (at, seq) order.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old) - 1
-	top := old[n]
-	*h = old[:n]
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
 	return top
 }
 
@@ -444,7 +550,7 @@ type sandboxState struct {
 	live       bool
 	idle       bool
 	activeReqs int
-	gen        int // bumped on every warm hit and reclaim to invalidate expiries
+	gen        uint32 // bumped on every warm hit and reclaim to invalidate expiries
 	// evictOnIdle marks a storm-flushed serving sandbox: it evicts as
 	// soon as its last request finishes, without a keep-alive draw.
 	evictOnIdle bool
@@ -454,17 +560,10 @@ type sandboxState struct {
 // co-tenancy snapshot and for hard-down kills (pod resolves the
 // sandbox whose activeReqs a kill decrements).
 type inflightTask struct {
-	id    int
-	pod   int
+	id    int32
+	pod   int32
 	alloc float64
 	cpu   time.Duration
-}
-
-// deferredArrival is one request queued while its host was draining or
-// down, replayed FIFO at the accepting transition.
-type deferredArrival struct {
-	pod int
-	req int
 }
 
 // hostState is the independent interpreter's per-host accumulator.
@@ -492,17 +591,19 @@ type hostState struct {
 	idleHeldCPU float64
 	idleCount   int
 
-	inflight    []inflightTask
-	inflightPos map[int]int
-	nextReqID   int
-	peakDemand  float64
-	peakTasks   []inflightTask
+	inflight []inflightTask
+	// pos maps an in-flight id (its index: ids count admissions) to the
+	// request's index in inflight, or -1 once it completed or was
+	// killed.
+	pos        []int32
+	peakDemand float64
+	peakTasks  []inflightTask
 
 	// Fault bookkeeping, mirroring the fleet host's state machine.
 	drainDepth   int
 	downDepth    int
 	downSince    time.Duration
-	deferred     []deferredArrival
+	deferred     []arrival
 	evicted      int
 	killed       int
 	deferredReqs int
@@ -526,9 +627,10 @@ type hostState struct {
 // own decider per function from keepalive.FunctionSeed and feeds it
 // the identical observation/decision sequence, so every counter the
 // fleet reports is re-derived by an independent instance of the same
-// state machine.
-func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *trace.Trace) hostState {
-	h := hostState{inflightPos: make(map[int]int)}
+// state machine. When ctx is cancelled the sweep stops early and the
+// tally is partial; the caller discards it.
+func replayHost(ctx context.Context, cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *trace.Trace) hostState {
+	var h hostState
 	if len(pods) == 0 {
 		return h
 	}
@@ -568,21 +670,38 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 		return d
 	}
 
-	var q eventHeap
-	var seq uint64
+	n := 0
+	for _, p := range pods {
+		n += len(p.Requests)
+	}
+	arrivals := make([]arrival, 0, n)
 	for pi, p := range pods {
 		for _, ri := range p.Requests {
-			heap.Push(&q, event{at: tr.Requests[ri].Start, seq: seq, kind: evArrive, pod: pi, req: ri})
-			seq++
+			arrivals = append(arrivals, arrival{at: tr.Requests[ri].Start, pod: int32(pi), req: int32(ri)})
 		}
 	}
-	// The fault plan seeds after the arrivals (and only on hosts that
-	// serve — this function early-returns above on an empty pod list,
-	// matching the fleet's lazy sim creation): at one instant an
-	// arrival beats a fault, and a fault beats any runtime-scheduled
-	// completion or expiry.
+	// Seeding the arrivals pod by pod, each pod's in trace order, would
+	// number them in (pod, req) order: sorting on (at, pod, req) is the
+	// (at, seq) order a heap holding them all would pop.
+	slices.SortFunc(arrivals, func(a, b arrival) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.pod, b.pod); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.req, b.req)
+	})
+	h.pos = make([]int32, 0, n)
+
+	// The fault plan seeds first (and only on hosts that serve — this
+	// function early-returns above on an empty pod list, matching the
+	// fleet's lazy sim creation): at one instant a fault beats any
+	// runtime-scheduled completion or expiry.
+	var q eventHeap
+	var seq uint64
 	for _, fe := range cfg.Faults.HostEvents(hostIdx) {
-		heap.Push(&q, event{at: fe.At, seq: seq, kind: evFault, fkind: fe.Kind})
+		q.push(event{at: fe.At, seq: seq, kind: evFault, fkind: fe.Kind})
 		seq++
 	}
 
@@ -603,10 +722,10 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 	// admit runs the admission path for one request at one instant —
 	// shared by live arrivals and the deferred replays a recovery
 	// triggers, exactly as the fleet's arrive() serves both.
-	admit := func(now time.Duration, pi, ri int) {
+	admit := func(now time.Duration, pi, ri int32) {
 		p := &pods[pi]
 		sb := &sandboxes[pi]
-		r := tr.Requests[ri]
+		r := &tr.Requests[ri]
 		if deciders != nil && idleFrom[pi] >= 0 {
 			// Mirror the fleet's observation point: the realized idle gap
 			// is fed back at the pod's next admission, deferred replays
@@ -651,9 +770,8 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 		h.contentionSecs += float64(effective-r.Duration) * 1e-9
 		h.slow.Observe(factor)
 
-		reqID := h.nextReqID
-		h.nextReqID++
-		h.inflightPos[reqID] = len(h.inflight)
+		reqID := int32(len(h.pos))
+		h.pos = append(h.pos, int32(len(h.inflight)))
 		h.inflight = append(h.inflight, inflightTask{id: reqID, pod: pi, alloc: p.VCPU, cpu: r.CPUTime})
 		if demand > h.peakDemand {
 			h.peakDemand = demand
@@ -673,7 +791,7 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 		latency := cfg.Profile.ServingOverhead + init + effective
 		h.lat.Observe(float64(latency) * 1e-6)
 
-		billed := r
+		billed := *r
 		billed.Duration = effective
 		billed.ColdStart = cold
 		billed.InitDuration = 0
@@ -686,7 +804,7 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 		h.billedCPUSeconds += ch.CPUSeconds
 		h.billedMemGBs += ch.MemGBSeconds
 
-		heap.Push(&q, event{at: now + init + effective, seq: seq, kind: evComplete, pod: pi, reqID: reqID})
+		q.push(event{at: now + init + effective, seq: seq, kind: evComplete, pod: pi, reqID: reqID})
 		seq++
 	}
 
@@ -715,14 +833,34 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 			return
 		}
 		for _, d := range h.deferred {
-			h.recov.Observe(float64(now-tr.Requests[d.req].Start) * 1e-6) // ms
+			h.recov.Observe(float64(now-d.at) * 1e-6) // ms
 			admit(now, d.pod, d.req)
 		}
 		h.deferred = h.deferred[:0]
 	}
 
-	for q.Len() > 0 {
-		ev := heap.Pop(&q).(event)
+	next := 0 // the first arrival not yet walked
+	for polls := 0; next < len(arrivals) || len(q) > 0; polls++ {
+		if polls&cancelCheckMask == 0 && ctx.Err() != nil {
+			return h
+		}
+		if next < len(arrivals) && (len(q) == 0 || arrivals[next].at <= q[0].at) {
+			// The arrival wins a tie with the heap top: every arrival
+			// precedes every fault and runtime event in seq order.
+			a := arrivals[next]
+			next++
+			h.now = a.at
+			account(a.at)
+			if h.drainDepth != 0 || h.downDepth != 0 {
+				h.deferred = append(h.deferred, a)
+				h.deferredReqs++
+				continue
+			}
+			admit(a.at, a.pod, a.req)
+			continue
+		}
+
+		ev := q.pop()
 		p := &pods[ev.pod]
 		sb := &sandboxes[ev.pod]
 		switch ev.kind {
@@ -745,8 +883,8 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 			h.expired++
 
 		case evComplete:
-			pos, ok := h.inflightPos[ev.reqID]
-			if !ok {
+			pos := h.pos[ev.reqID]
+			if pos < 0 {
 				continue // killed by a hard-down: the fleet cancelled this timer
 			}
 			h.now = ev.at
@@ -755,9 +893,9 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 			sb.activeReqs--
 			last := len(h.inflight) - 1
 			h.inflight[pos] = h.inflight[last]
-			h.inflightPos[h.inflight[pos].id] = pos
+			h.pos[h.inflight[pos].id] = pos
 			h.inflight = h.inflight[:last]
-			delete(h.inflightPos, ev.reqID)
+			h.pos[ev.reqID] = -1
 			if sb.activeReqs > 0 {
 				continue
 			}
@@ -782,18 +920,8 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 				window = getDecider(p.FnID).Window(rng, fnInstances[p.FnID])
 				idleFrom[ev.pod] = ev.at
 			}
-			heap.Push(&q, event{at: ev.at + window, seq: seq, kind: evExpire, pod: ev.pod, gen: sb.gen})
+			q.push(event{at: ev.at + window, seq: seq, kind: evExpire, pod: ev.pod, gen: sb.gen})
 			seq++
-
-		case evArrive:
-			h.now = ev.at
-			account(ev.at)
-			if h.drainDepth != 0 || h.downDepth != 0 {
-				h.deferred = append(h.deferred, deferredArrival{pod: ev.pod, req: ev.req})
-				h.deferredReqs++
-				continue
-			}
-			admit(ev.at, ev.pod, ev.req)
 
 		case evFault:
 			h.now = ev.at
@@ -812,7 +940,7 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 				h.downDepth++
 				for _, t := range h.inflight {
 					sandboxes[t.pod].activeReqs--
-					delete(h.inflightPos, t.id)
+					h.pos[t.id] = -1
 					h.killed++
 				}
 				h.inflight = h.inflight[:0]

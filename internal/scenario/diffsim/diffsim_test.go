@@ -2,11 +2,17 @@ package diffsim
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"slscost/internal/core"
 	"slscost/internal/fleet"
+	"slscost/internal/keepalive"
 	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
@@ -28,6 +34,18 @@ func fleetConfig(t *testing.T, policy string, prof core.Profile, hosts int) flee
 	}
 }
 
+// checkExact returns an error naming the first divergent metric unless
+// every metric agrees exactly. The oracle sums every float in the
+// fleet's order, so agreement is exact by construction; a nonzero
+// delta, however far below DefaultTolerance, is a real divergence
+// (a summation-order slip in the host fold, for one).
+func checkExact(res *Result) error {
+	if res.MaxRelDelta != 0 {
+		return fmt.Errorf("max rel delta %v (first mismatch %s)", res.MaxRelDelta, res.FirstMismatch(0))
+	}
+	return nil
+}
+
 func scenarioTrace(t *testing.T, name string, requests int) *trace.Trace {
 	t.Helper()
 	sc, ok := scenario.ByName(name)
@@ -47,7 +65,7 @@ func scenarioTrace(t *testing.T, name string, requests int) *trace.Trace {
 // TestEveryScenarioAgrees is the acceptance-criteria oracle: on every
 // shipped scenario, the independent per-host replay must reproduce the
 // fleet simulator's billed cost (and every other compared metric)
-// within tolerance.
+// exactly.
 func TestEveryScenarioAgrees(t *testing.T) {
 	for _, name := range scenario.Names() {
 		name := name
@@ -60,8 +78,8 @@ func TestEveryScenarioAgrees(t *testing.T) {
 			if rep.Served == 0 {
 				t.Fatal("nothing served")
 			}
-			if res.MaxRelDelta > DefaultTolerance {
-				t.Fatalf("max rel delta %v", res.MaxRelDelta)
+			if err := checkExact(res); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -75,7 +93,11 @@ func TestAgreementAcrossPoliciesAndPlatforms(t *testing.T) {
 	tr := scenarioTrace(t, "bursty", 6000)
 	for _, policy := range fleet.PolicyNames() {
 		for _, prof := range []core.Profile{core.AWS(), core.GCP(), core.Azure()} {
-			if _, _, err := Verify(fleetConfig(t, policy, prof, 6), tr, DefaultTolerance); err != nil {
+			res, _, err := Verify(fleetConfig(t, policy, prof, 6), tr, DefaultTolerance)
+			if err == nil {
+				err = checkExact(res)
+			}
+			if err != nil {
 				t.Errorf("%s/%s: %v", policy, prof.Name, err)
 			}
 		}
@@ -86,7 +108,11 @@ func TestAgreementElasticPool(t *testing.T) {
 	tr := scenarioTrace(t, "flash-crowd", 6000)
 	cfg := fleetConfig(t, "least-loaded", core.AWS(), 8)
 	cfg.Elastic = true
-	if _, _, err := Verify(cfg, tr, DefaultTolerance); err != nil {
+	res, _, err := Verify(cfg, tr, DefaultTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkExact(res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,8 +132,8 @@ func TestAgreementRawTrace(t *testing.T) {
 	if rep.ContentionDelaySeconds == 0 {
 		t.Log("note: no contention induced; probe path unexercised")
 	}
-	if res.MaxRelDelta > DefaultTolerance {
-		t.Fatalf("max rel delta %v", res.MaxRelDelta)
+	if err := checkExact(res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -179,8 +205,150 @@ func TestVerifyStream(t *testing.T) {
 	if rep.Served == 0 {
 		t.Fatal("no requests served")
 	}
-	if res.MaxRelDelta > DefaultTolerance {
-		t.Errorf("max relative delta %g above tolerance", res.MaxRelDelta)
+	if err := checkExact(res); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestArrivalWinsSameInstantTie pins the oracle's tie rule on a trace
+// built to contain an exact tie, which generated traces almost never
+// do: a request arrives at the very instant its pod's first request
+// completes. The fleet admits the arrival first (a host runs only
+// strictly-earlier events before an arrival), so the two overlap on a
+// one-vCPU host and contend; an oracle that let the completion win
+// the tie would see no contention and disagree.
+func TestArrivalWinsSameInstantTie(t *testing.T) {
+	req := func(start time.Duration, cold bool) trace.Request {
+		r := trace.Request{FnID: 1, PodID: 1, Start: start, Duration: 50 * time.Millisecond,
+			CPUTime: 20 * time.Millisecond, MemUsedMB: 64, AllocCPU: 1, AllocMemMB: 128, ColdStart: cold}
+		if cold {
+			r.InitDuration = 100 * time.Millisecond
+		}
+		return r
+	}
+	// The first request completes at init + duration = 150 ms.
+	tr := &trace.Trace{Requests: []trace.Request{req(0, true), req(150*time.Millisecond, false)}}
+	cfg := fleetConfig(t, "least-loaded", core.AWS(), 1)
+	cfg.Host = fleet.HostSpec{VCPU: 1, MemMB: 4096}
+	res, rep, err := Verify(cfg, tr, DefaultTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ContentionDelaySeconds == 0 {
+		t.Fatal("no contention: the fleet did not admit the tied arrival first")
+	}
+	if err := checkExact(res); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyStreamCancelStopsOracle: cancelling the context after the
+// streamed simulation has finished must stop the oracle too. The source
+// cancels on its third opening — the oracle's, after the fleet's
+// placement scan and replay — so VerifyStream must return
+// context.Canceled and no result instead of replaying to the end.
+func TestVerifyStreamCancelStopsOracle(t *testing.T) {
+	sc, ok := scenario.ByName("bursty")
+	if !ok {
+		t.Fatal("bursty scenario missing")
+	}
+	scfg := scenario.DefaultConfig()
+	scfg.Base.Requests = 3000
+	src := sc.Source(scfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opens := 0
+	cancelling := func() (trace.Stream, error) {
+		opens++
+		if opens == 3 {
+			cancel()
+		}
+		return src()
+	}
+	res, _, err := VerifyStream(ctx, fleetConfig(t, "least-loaded", core.AWS(), 4), cancelling, DefaultTolerance)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("cancelled verification returned a result (max rel delta %v)", res.MaxRelDelta)
+	}
+	if opens != 3 {
+		t.Fatalf("source opened %d times, want 3 (scan, fleet replay, oracle)", opens)
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled from its
+// n-th call on, cancelling a replay at a known poll.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReplayHostPollsContext: a host's event loop polls its context
+// every cancelCheckMask+1 events, so a cancellation mid-host stops it
+// within that many events rather than at the end of the host.
+func TestReplayHostPollsContext(t *testing.T) {
+	tr := scenarioTrace(t, "steady", 8000)
+	cfg := fleetConfig(t, "least-loaded", core.AWS(), 2)
+	pods, err := fleet.Place(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var host0 []fleet.PodAssignment
+	for _, p := range pods {
+		if p.Host == 0 {
+			host0 = append(host0, p)
+		}
+	}
+	full := replayHost(context.Background(), cfg, 0, host0, tr)
+	if full.served <= 2*(cancelCheckMask+1) {
+		t.Fatalf("host 0 served %d requests, too few to cut between polls", full.served)
+	}
+	// The first poll (event 0) passes, the second (event mask+1)
+	// cancels.
+	cut := replayHost(&cancelAfter{Context: context.Background(), n: 2}, cfg, 0, host0, tr)
+	if cut.served > cancelCheckMask+1 {
+		t.Fatalf("cancelled host served %d of %d requests, want at most %d", cut.served, full.served, cancelCheckMask+1)
+	}
+	if _, err := replay(&cancelAfter{Context: context.Background(), n: 2}, cfg, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replay err = %v, want context.Canceled", err)
+	}
+}
+
+// TestReplayWorkerCountIndependence: the oracle replays hosts on
+// cfg.Workers goroutines but folds them in host order, so its aggregate
+// is identical, to the last float bit, at any worker count — here on a
+// faulted, adaptive keep-alive workload, where every host's state
+// machine does the most.
+func TestReplayWorkerCountIndependence(t *testing.T) {
+	tr, horizon := faultTrace(t, "flash-crowd", 8000)
+	var want Aggregate
+	for i, workers := range []int{1, 3, 0} {
+		cfg := deciderConfig(t, keepalive.ModeAdaptive, "least-loaded", core.AWS(), 8)
+		cfg.Faults = faultPlan(t, "chaos", cfg.Hosts, horizon, cfg.Seed)
+		cfg.Workers = workers
+		agg, err := Replay(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if agg.PolicyDecisions == 0 || agg.EvictedSandboxes+agg.KilledRequests+agg.DeferredRequests == 0 {
+				t.Fatalf("workload exercised neither deciders nor faults: %+v", agg)
+			}
+			want = agg
+			continue
+		}
+		if !reflect.DeepEqual(agg, want) {
+			t.Errorf("workers=%d aggregate differs from workers=1:\n got %+v\nwant %+v", workers, agg, want)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ func faultPlan(t *testing.T, profile string, hosts int, horizon time.Duration, s
 // TestEveryFaultProfileAgrees is the fault half of the acceptance
 // oracle: on every catalog fault profile, the independent replay must
 // reproduce the fleet's recovery bookkeeping — evictions, kills,
-// deferred replays, downtime, masked placements — to the same
-// tolerance as cost, and each profile must actually perturb the run
+// deferred replays, downtime, masked placements — as exactly as cost,
+// and each profile must actually perturb the run
 // (a fault suite that injects nothing verifies nothing).
 func TestEveryFaultProfileAgrees(t *testing.T) {
 	tr, horizon := faultTrace(t, "diurnal", 8000)
@@ -67,9 +67,8 @@ func TestEveryFaultProfileAgrees(t *testing.T) {
 			if rep.Served == 0 {
 				t.Fatal("nothing served")
 			}
-			if res.MaxRelDelta > DefaultTolerance {
-				t.Fatalf("max rel delta %v (first mismatch %s)",
-					res.MaxRelDelta, res.FirstMismatch(DefaultTolerance))
+			if err := checkExact(res); err != nil {
+				t.Fatal(err)
 			}
 			if rep.EvictedSandboxes+rep.KilledRequests+rep.DeferredRequests+rep.FaultMaskedPods == 0 {
 				t.Fatalf("profile %s perturbed nothing: %+v", profile, rep)
@@ -88,7 +87,11 @@ func TestFaultAgreementAcrossPoliciesAndPlatforms(t *testing.T) {
 		for _, prof := range []core.Profile{core.AWS(), core.GCP(), core.Azure()} {
 			cfg := fleetConfig(t, policy, prof, 6)
 			cfg.Faults = faultPlan(t, "chaos", cfg.Hosts, horizon, cfg.Seed)
-			if _, _, err := Verify(cfg, tr, DefaultTolerance); err != nil {
+			res, _, err := Verify(cfg, tr, DefaultTolerance)
+			if err == nil {
+				err = checkExact(res)
+			}
+			if err != nil {
 				t.Errorf("%s/%s: %v", policy, prof.Name, err)
 			}
 		}
@@ -113,9 +116,8 @@ func TestFaultStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxRelDelta > DefaultTolerance {
-		t.Fatalf("max rel delta %v (first mismatch %s)",
-			res.MaxRelDelta, res.FirstMismatch(DefaultTolerance))
+	if err := checkExact(res); err != nil {
+		t.Fatal(err)
 	}
 	if rep.EvictedSandboxes+rep.KilledRequests+rep.DeferredRequests == 0 {
 		t.Fatal("chaos profile perturbed nothing on the stream path")
