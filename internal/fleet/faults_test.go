@@ -71,8 +71,7 @@ func TestFaultedHostIdleHeldExactlyZero(t *testing.T) {
 					now := time.Duration(0)
 					for i := 0; i < pods; i++ {
 						vcpu := sizes[rng.Intn(len(sizes))]
-						p := &pod{id: i, fnID: rng.Intn(11), vcpu: vcpu, memMB: 128,
-							initMs: time.Duration(10+rng.Intn(90)) * time.Millisecond}
+						p := testPod(rng.Intn(11), vcpu, time.Duration(10+rng.Intn(90))*time.Millisecond)
 						r := trace.Request{
 							FnID: p.fnID, PodID: i, Start: now,
 							Duration:  time.Duration(1+rng.Intn(400)) * time.Millisecond,
@@ -125,7 +124,7 @@ func TestEvictedSandboxNotWarmAfterRestart(t *testing.T) {
 	cfg.Faults = plan
 	s := newHostSim(cfg, 0)
 	s.seedFaults(0)
-	p := &pod{id: 0, fnID: 0, vcpu: 0.5, memMB: 128, initMs: 50 * time.Millisecond}
+	p := testPod(0, 0.5, 50*time.Millisecond)
 	mk := func(start time.Duration) trace.Request {
 		return trace.Request{FnID: 0, PodID: 0, Start: start,
 			Duration: 100 * time.Millisecond, CPUTime: 50 * time.Millisecond,
@@ -161,7 +160,7 @@ func TestDeferredArrivalReplaysAtRecovery(t *testing.T) {
 	cfg.Faults = plan
 	s := newHostSim(cfg, 0)
 	s.seedFaults(0)
-	p := &pod{id: 0, fnID: 0, vcpu: 0.5, memMB: 128, initMs: 50 * time.Millisecond}
+	p := testPod(0, 0.5, 50*time.Millisecond)
 	r := trace.Request{FnID: 0, PodID: 0, Start: 2100 * time.Millisecond,
 		Duration: 100 * time.Millisecond, CPUTime: 50 * time.Millisecond,
 		MemUsedMB: 64, AllocCPU: 0.5, AllocMemMB: 128,

@@ -130,30 +130,36 @@ func (c Config) Validate() error {
 	return c.Profile.Validate()
 }
 
-// pod is one sandbox's worth of trace requests: the placement unit.
-type pod struct {
-	id     int
+// podMeta is the part of a pod's scanned metadata the host replay
+// reads. It is recorded once per source (podMetas) and shared
+// read-only by every configuration replaying that source
+// (SimulateGroup); placement reads the full trace.PodMeta before the
+// replay starts, and the replay does not keep it.
+type podMeta struct {
 	fnID   int
 	vcpu   float64
-	memMB  float64
 	initMs time.Duration // cold-start init of the pod's first request
-	first  time.Duration // first request arrival
-	last   time.Duration // last request turnaround end
-	nreqs  int           // request count
-	host   int           // assigned host, -1 = rejected
-	sb     *sandbox      // live sandbox during simulation (owned by the host's shard)
+}
 
-	// fnCount points at the owning host's live-instance counter for this
-	// pod's function, resolved once at the pod's first cold start. Idle
-	// transitions draw their keep-alive window from it every request, so
-	// the counter is reached through the pod instead of a map lookup.
-	fnCount *int
+// pod is one configuration's view of a sandbox, the placement unit:
+// the shared metadata plus this configuration's placement decision and
+// live replay state. It is kept to 32 bytes because a group holds one
+// per pod per configuration; the live-instance counter of the pod's
+// function lives on the sandbox.
+type pod struct {
+	*podMeta
+	sb   *sandbox // live sandbox during simulation (owned by the host's shard)
+	host int      // assigned host, -1 = rejected
+	ka   *podKA   // adaptive keep-alive state; nil in static mode
+}
 
-	// decider caches the owning host's keep-alive decider for this pod's
-	// function (adaptive modes only; nil in static mode). idleFrom is
-	// the instant the pod's sandbox last went idle, or -1 when there is
-	// no pending idle gap to observe — the decider observes the gap at
-	// the pod's next arrival, whether the sandbox survived or not.
+// podKA is a pod's adaptive keep-alive state, built when the pod's
+// sandbox first goes idle. decider caches the owning host's decider
+// for the pod's function; idleFrom is the instant the pod's sandbox
+// last went idle, or -1 when there is no pending idle gap to observe —
+// the decider observes the gap at the pod's next arrival, whether the
+// sandbox survived or not.
+type podKA struct {
 	decider  keepalive.Decider
 	idleFrom time.Duration
 }
@@ -238,12 +244,14 @@ type placeStats struct {
 // placer works on the policy mean, while each host later samples actual
 // windows from its own stream, as a real scheduler estimates what it
 // cannot observe. Commitments never exceed host capacity: a pod no host
-// fits is rejected.
+// fits is rejected. The pass reads the scanned metas and records each
+// decision in the slot-aligned pods[i].host, leaving rejected pods'
+// host as it found it.
 //
 // Under Elastic, policies only see the autoscaled prefix of the host
 // pool, sized by a windowed autoscaler fed the committed-vCPU signal
 // (one "instance" = one host's schedulable vCPUs).
-func placeAll(cfg Config, pods []*pod) (view View, ps placeStats) {
+func placeAll(cfg Config, metas []trace.PodMeta, pods []pod) (view View, ps placeStats) {
 	view = View{Hosts: make([]HostLoad, cfg.Hosts)}
 	schedulable := cfg.Host
 	schedulable.VCPU *= cfg.overcommit()
@@ -278,14 +286,15 @@ func placeAll(cfg Config, pods []*pod) (view View, ps placeStats) {
 	ps.peakActive = active
 	var activeIntegral float64 // host-seconds
 	var lastAt, firstAt time.Duration
-	if len(pods) > 0 {
-		firstAt, lastAt = pods[0].first, pods[0].first
+	if len(metas) > 0 {
+		firstAt, lastAt = metas[0].First, metas[0].First
 	}
 
 	var pending releaseHeap
 
-	for _, p := range pods {
-		for len(pending) > 0 && pending[0].at <= p.first {
+	for i := range metas {
+		p := &metas[i]
+		for len(pending) > 0 && pending[0].at <= p.First {
 			rel := pending.popMin()
 			h := &view.Hosts[rel.host]
 			h.CommittedVCPU -= rel.vcpu
@@ -301,18 +310,18 @@ func placeAll(cfg Config, pods []*pod) (view View, ps placeStats) {
 			if m := committedMemMB / schedulable.MemMB; m > demandHosts {
 				demandHosts = m
 			}
-			scaler.Record(p.first, demandHosts*100, 0)
-			if p.first >= nextDecision {
+			scaler.Record(p.First, demandHosts*100, 0)
+			if p.First >= nextDecision {
 				// Knative's 2 s decision tick.
-				active = scaler.Desired(p.first, active)
-				nextDecision = p.first + 2*time.Second
+				active = scaler.Desired(p.First, active)
+				nextDecision = p.First + 2*time.Second
 				if active > ps.peakActive {
 					ps.peakActive = active
 				}
 			}
 		}
-		activeIntegral += float64(active) * (p.first - lastAt).Seconds()
-		lastAt = p.first
+		activeIntegral += float64(active) * (p.First - lastAt).Seconds()
+		lastAt = p.First
 
 		// Fault masking: hosts draining or down at this pod's first
 		// arrival fit nothing, so the policy routes around them exactly
@@ -320,7 +329,7 @@ func placeAll(cfg Config, pods []*pod) (view View, ps placeStats) {
 		if plan := cfg.Faults; !plan.Empty() {
 			masked := false
 			for i := range view.Hosts {
-				u := plan.UnavailableAt(i, p.first)
+				u := plan.UnavailableAt(i, p.First)
 				view.Hosts[i].Unavailable = u
 				if u {
 					masked = true
@@ -332,22 +341,22 @@ func placeAll(cfg Config, pods []*pod) (view View, ps placeStats) {
 		}
 
 		sub := View{Hosts: view.Hosts[:active]}
-		idx := cfg.Policy.Place(&sub, p.vcpu, p.memMB, rng)
+		idx := cfg.Policy.Place(&sub, p.VCPU, p.MemMB, rng)
 		if idx < 0 {
 			ps.rejected++
 			continue
 		}
-		p.host = idx
+		pods[i].host = idx
 		h := &view.Hosts[idx]
-		h.CommittedVCPU += p.vcpu
-		h.CommittedMemMB += p.memMB
-		committedVCPU += p.vcpu
-		committedMemMB += p.memMB
+		h.CommittedVCPU += p.VCPU
+		h.CommittedMemMB += p.MemMB
+		committedVCPU += p.VCPU
+		committedMemMB += p.MemMB
 		h.Sandboxes++
-		idleCPU := ka.IdleCPU(p.vcpu)
-		idleMem := ka.IdleMemGB(p.memMB/1024) * 1024
-		pending.push(release{at: p.last, host: idx, vcpu: p.vcpu - idleCPU, mem: p.memMB - idleMem})
-		pending.push(release{at: p.last + window, host: idx, vcpu: idleCPU, mem: idleMem, endSandbox: true})
+		idleCPU := ka.IdleCPU(p.VCPU)
+		idleMem := ka.IdleMemGB(p.MemMB/1024) * 1024
+		pending.push(release{at: p.Last, host: idx, vcpu: p.VCPU - idleCPU, mem: p.MemMB - idleMem})
+		pending.push(release{at: p.Last + window, host: idx, vcpu: idleCPU, mem: idleMem, endSandbox: true})
 	}
 	if span := (lastAt - firstAt).Seconds(); span > 0 {
 		ps.meanActive = activeIntegral / span

@@ -129,13 +129,19 @@ type inflightRec struct {
 // them, so sandbox churn (the dominant lifecycle in keep-alive-heavy
 // traces) does not allocate after warm-up.
 type sandbox struct {
-	pod        *pod
-	activeReqs int
-	idle       bool
-	idleTimer  simtime.Handle
+	pod *pod
+	// fnCount is the host's live-instance counter for the pod's
+	// function, resolved at the cold start. Idle transitions draw their
+	// keep-alive window from it every request, so it is reached through
+	// the sandbox instead of a map lookup.
+	fnCount   *int
+	idleTimer simtime.Handle
 	// lpos is the sandbox's index in the host's live list (O(1)
-	// swap-removal, mirroring inflightRec.pos).
-	lpos int32
+	// swap-removal, mirroring inflightRec.pos). It and activeReqs are
+	// 32-bit so the sandbox stays a 48-byte allocation.
+	lpos       int32
+	activeReqs int32
+	idle       bool
 	// evictOnIdle marks a sandbox a cold-start storm flushed while it
 	// was serving: it evicts the moment its last request finishes,
 	// without drawing a keep-alive window.
@@ -158,10 +164,10 @@ type hostSim struct {
 	// host.
 	deciders map[int]keepalive.Decider
 
-	// fnInstances holds one live-sandbox counter per function; pods cache
-	// the pointer (pod.fnCount) at their first cold start so the per-event
-	// paths never touch the map. A counter parked at zero is equivalent to
-	// a missing key: both read back as zero instances.
+	// fnInstances holds one live-sandbox counter per function; sandboxes
+	// cache the pointer (sandbox.fnCount) at their cold start so the
+	// per-event paths never touch the map. A counter parked at zero is
+	// equivalent to a missing key: both read back as zero instances.
 	fnInstances map[int]*int
 	inFlight    float64 // vCPUs of executing requests
 	idleHeldCPU float64 // vCPUs held by idle sandboxes (Table 2)
@@ -223,8 +229,10 @@ func (s *hostSim) account(now time.Duration) {
 }
 
 // newHostSim returns a host shard ready to serve requests. The
-// latency and slowdown accumulators are fixed-size histograms, so the
-// shard's footprint does not depend on its request count.
+// latency and slowdown accumulators are histograms bounded by their
+// layouts, so the shard's footprint does not depend on its request
+// count; the recovery histogram is built at the first deferred
+// arrival, so a host no fault touches never holds one.
 func newHostSim(cfg Config, hostIdx int) *hostSim {
 	s := &hostSim{
 		cfg:         cfg,
@@ -238,7 +246,6 @@ func newHostSim(cfg Config, hostIdx int) *hostSim {
 	}
 	s.res.latHist = stats.NewLogHist(LatencyHistConfig())
 	s.res.slowHist = stats.NewLogHist(SlowdownHistConfig())
-	s.res.recovHist = stats.NewLogHist(RecoveryHistConfig())
 	s.completeFn = func(now time.Duration, arg any) { s.complete(now, arg.(*inflightRec)) }
 	s.expireFn = func(now time.Duration, arg any) { s.expire(now, arg.(*sandbox)) }
 	s.faultFn = func(now time.Duration, arg any) { s.fault(now, arg.(faults.Kind)) }
@@ -313,13 +320,13 @@ func (s *hostSim) finish() hostResult {
 	return s.res
 }
 
-// decider returns the pod's keep-alive decider, building it at the
-// function's first use on this host. Call only in adaptive modes
+// podKA returns the pod's adaptive keep-alive state, building it — and
+// the function's decider, at the function's first use on this host —
+// when the pod's sandbox first goes idle. Call only in adaptive modes
 // (s.deciders non-nil).
-func (s *hostSim) decider(p *pod) keepalive.Decider {
-	d := p.decider
-	if d == nil {
-		d = s.deciders[p.fnID]
+func (s *hostSim) podKA(p *pod) *podKA {
+	if p.ka == nil {
+		d := s.deciders[p.fnID]
 		if d == nil {
 			spec := s.cfg.KeepAlive
 			var err error
@@ -330,9 +337,9 @@ func (s *hostSim) decider(p *pod) keepalive.Decider {
 			}
 			s.deciders[p.fnID] = d
 		}
-		p.decider = d
+		p.ka = &podKA{decider: d, idleFrom: -1}
 	}
-	return d
+	return p.ka
 }
 
 // probe runs the CFS cross-check on this host's peak-demand snapshot.
@@ -424,17 +431,20 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 		// accepting transition.
 		s.deferred = append(s.deferred, deferredReq{p: p, r: *r})
 		s.res.deferredReqs++
+		if s.res.recovHist == nil {
+			s.res.recovHist = stats.NewLogHist(RecoveryHistConfig())
+		}
 		return
 	}
-	if s.deciders != nil && p.idleFrom >= 0 {
+	if ka := p.ka; ka != nil && ka.idleFrom >= 0 {
 		// Adaptive modes observe the realized idle gap at the next
 		// arrival — go-idle to now, whether the sandbox survived the
 		// window or was reclaimed in between (the decider learns the
 		// traffic, not the policy's own verdicts). Deferred arrivals
 		// observe at their replay instant: the recovery delay is part of
 		// the gap the host actually saw.
-		s.decider(p).ObserveIdle(now - p.idleFrom)
-		p.idleFrom = -1
+		ka.decider.ObserveIdle(now - ka.idleFrom)
+		ka.idleFrom = -1
 	}
 	ka := s.cfg.Profile.KeepAlive
 
@@ -459,15 +469,13 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 		p.sb = sb
 		sb.lpos = int32(len(s.live))
 		s.live = append(s.live, sb)
-		if p.fnCount == nil {
-			c := s.fnInstances[p.fnID]
-			if c == nil {
-				c = new(int)
-				s.fnInstances[p.fnID] = c
-			}
-			p.fnCount = c
+		c := s.fnInstances[p.fnID]
+		if c == nil {
+			c = new(int)
+			s.fnInstances[p.fnID] = c
 		}
-		*p.fnCount++
+		sb.fnCount = c
+		*c++
 		s.res.sandboxes++
 	case sb.idle:
 		// Warm hit during keep-alive: cancel the pending expiry (the
@@ -585,14 +593,15 @@ func (s *hostSim) complete(now time.Duration, rec *inflightRec) {
 	s.idleHeldCPU += ka.IdleCPU(p.vcpu)
 	var window time.Duration
 	if s.deciders == nil {
-		window = ka.Window(s.rng, *p.fnCount)
+		window = ka.Window(s.rng, *sb.fnCount)
 	} else {
 		// Adaptive modes: the per-function decider chooses the window
 		// (ignoring s.rng — the host stream is passed for the Static
 		// wrapper's benefit only) and the idle instant is remembered so
 		// the gap can be observed at the pod's next arrival.
-		window = s.decider(p).Window(s.rng, *p.fnCount)
-		p.idleFrom = now
+		pka := s.podKA(p)
+		window = pka.decider.Window(s.rng, *sb.fnCount)
+		pka.idleFrom = now
 	}
 	sb.idleTimer = s.clock.Schedule(now+window, s.expireFn, sb)
 }
@@ -620,7 +629,6 @@ func (s *hostSim) expire(now time.Duration, sb *sandbox) {
 // bookkeeping (idleCount/idleHeldCPU, the expiry timer) is the
 // caller's job.
 func (s *hostSim) dropSandbox(sb *sandbox) {
-	p := sb.pod
 	pos := sb.lpos
 	last := len(s.live) - 1
 	moved := s.live[last]
@@ -628,11 +636,10 @@ func (s *hostSim) dropSandbox(sb *sandbox) {
 	moved.lpos = pos
 	s.live[last] = nil
 	s.live = s.live[:last]
-	p.sb = nil
-	sb.pod = nil
-	sb.evictOnIdle = false
+	*sb.fnCount--
+	sb.pod.sb = nil
+	*sb = sandbox{}
 	s.sbFree = append(s.sbFree, sb)
-	*p.fnCount--
 }
 
 // fault applies one fault-plan event to the host. Every branch runs

@@ -10,6 +10,12 @@ import (
 	"slscost/internal/trace"
 )
 
+// testPod returns a pod over its own metadata, as the placement pass
+// builds pods over the shared podMetas.
+func testPod(fnID int, vcpu float64, init time.Duration) *pod {
+	return &pod{podMeta: &podMeta{fnID: fnID, vcpu: vcpu, initMs: init}}
+}
+
 // rampPods builds n single-request pods whose arrivals form a monotone
 // demand ramp on one host: every request is still executing when the
 // next arrives, so each admission is a new peak-demand instant and
@@ -19,7 +25,7 @@ func rampPods(n int, vcpu float64, dur time.Duration) ([]*pod, []trace.Request) 
 	reqs := make([]trace.Request, n)
 	for i := range pods {
 		start := time.Duration(i) * time.Millisecond
-		pods[i] = &pod{id: i, fnID: i % 7, vcpu: vcpu, memMB: 128, initMs: 50 * time.Millisecond}
+		pods[i] = testPod(i%7, vcpu, 50*time.Millisecond)
 		reqs[i] = trace.Request{
 			FnID: i % 7, PodID: i, Start: start,
 			Duration: dur, CPUTime: dur / 2,
@@ -84,8 +90,7 @@ func TestDrainedHostIdleHeldExactlyZero(t *testing.T) {
 			now := time.Duration(0)
 			for i := 0; i < pods; i++ {
 				vcpu := sizes[rng.Intn(len(sizes))]
-				p := &pod{id: i, fnID: rng.Intn(11), vcpu: vcpu, memMB: 128,
-					initMs: time.Duration(10+rng.Intn(90)) * time.Millisecond}
+				p := testPod(rng.Intn(11), vcpu, time.Duration(10+rng.Intn(90))*time.Millisecond)
 				r := trace.Request{
 					FnID: p.fnID, PodID: i, Start: now,
 					Duration:  time.Duration(1+rng.Intn(400)) * time.Millisecond,

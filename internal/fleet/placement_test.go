@@ -24,7 +24,7 @@ func TestPlacementNeverOverCommits(t *testing.T) {
 		cfg := trace.DefaultGeneratorConfig()
 		cfg.Requests = 400
 		cfg.Seed = seed
-		pods, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
+		metas, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +40,7 @@ func TestPlacementNeverOverCommits(t *testing.T) {
 			// Re-run placement pod by pod, checking the invariant after
 			// each commitment (placeAll enforces Fits via the policies;
 			// this verifies none of them cheats).
-			for _, p := range pods {
-				p.host = -1
-			}
-			view, _ := placeAll(c, pods)
+			view, _ := placeAll(c, metas, make([]pod, len(metas)))
 			for h, load := range view.Hosts {
 				if load.CommittedVCPU > spec.VCPU+capacityEpsilon {
 					t.Logf("%s: host %d vCPU %v > %v", name, h, load.CommittedVCPU, spec.VCPU)
@@ -90,13 +87,13 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 		rng := stats.NewRand(1)
 		for _, p := range pods {
 			// No retirement at all: the worst case for capacity pressure.
-			idx := policy.Place(&view, p.vcpu, p.memMB, rng)
+			idx := policy.Place(&view, p.VCPU, p.MemMB, rng)
 			if idx < 0 {
 				continue
 			}
 			h := &view.Hosts[idx]
-			h.CommittedVCPU += p.vcpu
-			h.CommittedMemMB += p.memMB
+			h.CommittedVCPU += p.VCPU
+			h.CommittedMemMB += p.MemMB
 			h.Sandboxes++
 			if h.CommittedVCPU > spec.VCPU+capacityEpsilon ||
 				h.CommittedMemMB > spec.MemMB+capacityEpsilon {
@@ -189,9 +186,9 @@ func TestBuildPodsGrouping(t *testing.T) {
 	total := 0
 	for i, a := range as {
 		p := pods[i]
-		if a.PodID != p.id || len(a.Requests) != p.nreqs {
+		if a.PodID != p.ID || len(a.Requests) != p.NReqs {
 			t.Fatalf("assignment %d is pod %d with %d requests, scan has pod %d with %d",
-				i, a.PodID, len(a.Requests), p.id, p.nreqs)
+				i, a.PodID, len(a.Requests), p.ID, p.NReqs)
 		}
 		total += len(a.Requests)
 		if i > 0 && tr.Requests[as[i-1].Requests[0]].Start > tr.Requests[a.Requests[0]].Start {
@@ -208,8 +205,8 @@ func TestBuildPodsGrouping(t *testing.T) {
 			if j == 0 && !r.ColdStart {
 				t.Errorf("pod %d first request not a cold start", a.PodID)
 			}
-			if end := r.Start + r.Turnaround(); end > p.last {
-				t.Errorf("pod %d last %v before request end %v", a.PodID, p.last, end)
+			if end := r.Start + r.Turnaround(); end > p.Last {
+				t.Errorf("pod %d last %v before request end %v", a.PodID, p.Last, end)
 			}
 		}
 	}

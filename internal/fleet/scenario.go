@@ -55,24 +55,24 @@ func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
+	metas, _, err := scanPods(context.Background(), trace.FromTrace(tr))
 	if err != nil {
 		return nil, err
 	}
-	placeAll(cfg, pods)
-	out := make([]PodAssignment, len(pods))
-	byID := make(map[int]*PodAssignment, len(pods))
-	for i, p := range pods {
+	pl := place(cfg, metas, podMetas(metas))
+	out := make([]PodAssignment, len(metas))
+	byID := make(map[int]*PodAssignment, len(metas))
+	for i, m := range metas {
 		out[i] = PodAssignment{
-			PodID:        p.id,
-			FnID:         p.fnID,
-			Host:         p.host,
-			VCPU:         p.vcpu,
-			MemMB:        p.memMB,
-			InitDuration: p.initMs,
-			Requests:     make([]int, 0, p.nreqs),
+			PodID:        m.ID,
+			FnID:         m.FnID,
+			Host:         pl.pods[i].host,
+			VCPU:         m.VCPU,
+			MemMB:        m.MemMB,
+			InitDuration: m.Init,
+			Requests:     make([]int, 0, m.NReqs),
 		}
-		byID[p.id] = &out[i]
+		byID[m.ID] = &out[i]
 	}
 	for i, r := range tr.Requests {
 		a := byID[r.PodID]

@@ -2,12 +2,12 @@
 // simulator: it sweeps a grid of cluster configurations — placement
 // policy × keep-alive TTL × CPU overcommit ratio × host pool size —
 // against any set of workload scenarios, evaluates every combination
-// concurrently over the streaming replay path
-// (fleet.SimulateScenarioStream), and reduces the results to the
-// decisions an operator actually needs: a Pareto frontier over cost,
-// cold-start rate, and tail contention slowdown, plus a
-// coordinate-descent refinement of the continuous knobs around any
-// grid point.
+// concurrently over the streaming replay path (fleet.SimulateGroup,
+// which replays candidates that share a scenario from one synthesis),
+// and reduces the results to the decisions an operator actually needs:
+// a Pareto frontier over cost, cold-start rate, and tail contention
+// slowdown, plus a coordinate-descent refinement of the continuous
+// knobs around any grid point.
 //
 // Everything is deterministic. Each (candidate, scenario) evaluation
 // is an independent pure function of the sweep configuration — the

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -178,11 +179,12 @@ type SweepResult struct {
 // for any cfg.Workers, because evaluations are independent pure
 // functions placed by index. Each scenario is compiled exactly once
 // per sweep (or fetched through cfg.Planner) and shared read-only by
-// every candidate's evaluation.
+// every candidate's evaluation; candidates evaluated on the same
+// scenario replay in pairs from one synthesis (evaluateRange).
 //
 // Cancelling ctx abandons the sweep and returns ctx.Err() promptly:
 // workers stop picking up evaluations and the running ones unwind
-// through fleet.SimulateStream's own cancellation polling. Evaluation
+// through fleet.SimulateGroup's own cancellation polling. Evaluation
 // failures under a live context aggregate into a *SweepError naming
 // every failed grid index.
 func Sweep(ctx context.Context, cfg Config, space Space) (*SweepResult, error) {
@@ -363,14 +365,57 @@ func compilePlans(cfg Config) ([]*scenario.Plan, error) {
 	return plans, nil
 }
 
+// maxGroup caps how many grid slots of one scenario a worker replays
+// together through fleet.SimulateGroup, which synthesizes and scans the
+// scenario once for the whole group instead of once per slot. Memory,
+// not CPU, sets the cap: a sweep evaluation runs near the Go
+// collector's 4 MB heap floor with 1–3 MB live, so each configuration
+// a group adds shows in the process's peak RSS. With pods sharing their
+// metadata and histograms grown on demand, one configuration's live
+// state is about 0.37 MB at 50k requests and 16 hosts, against 0.89 MB
+// before, so a pair fits where one evaluation used to. Larger groups
+// raise the peak: in the repository benchmark's sweep workload on a
+// 2-vCPU Xeon, groups of three cut another 9% of the op time but read
+// +6% median peak RSS against pairs, and +23% at worst.
+const maxGroup = 2
+
+// groupSize is the slots per group for a range of n slots on a pool of
+// workers: pairs while they still leave every worker a group, single
+// slots when pairing would idle part of the pool.
+func groupSize(n, workers int) int {
+	return max(1, min(maxGroup, n/workers))
+}
+
+// groupSlots splits the slots [0, n) of the range starting at grid
+// index start into groups of at most size slots that share a scenario,
+// ordered by their lowest slot. The pool dispatches them in that
+// order, so completions, and with them the emitted rows, still advance
+// in grid order.
+func groupSlots(start, n, nScen, size int) [][]int {
+	var groups [][]int
+	open := make([]int, nScen) // each scenario's group still filling, +1; 0 = none
+	for k := 0; k < n; k++ {
+		si := (start + k) % nScen
+		g := open[si] - 1
+		if g < 0 || len(groups[g]) == size {
+			groups = append(groups, make([]int, 0, size))
+			g = len(groups) - 1
+			open[si] = g + 1
+		}
+		groups[g] = append(groups[g], k)
+	}
+	return groups
+}
+
 // evaluateRange runs the grid-index range [start, end) of the
-// (candidate × scenario) job matrix over the bounded pool. Results
-// are placed by grid index, so both the success and the failure path
-// are deterministic in the worker count. Completed results are handed
-// to cfg.OnResult in index order behind a watermark, so row streaming
-// is deterministic too. A cancelled ctx wins and returns ctx.Err();
-// evaluation failures under a live context aggregate into a
-// *SweepError carrying every failed grid index.
+// (candidate × scenario) job matrix over the bounded pool, in groups
+// of slots that share a scenario (groupSlots). Results are placed by
+// grid index, so both the success and the failure path are
+// deterministic in the worker count and the grouping. Completed
+// results are handed to cfg.OnResult in index order behind a
+// watermark, so row streaming is deterministic too. A cancelled ctx
+// wins and returns ctx.Err(); evaluation failures under a live context
+// aggregate into a *SweepError carrying every failed grid index.
 func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, end int) ([]Result, error) {
 	plans, err := compilePlans(cfg)
 	if err != nil {
@@ -387,13 +432,15 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 	var emitMu sync.Mutex
 	emitted := 0
 	completed := make([]bool, n)
-	emit := func(k int) {
+	emit := func(slots []int) {
 		if cfg.OnResult == nil {
 			return
 		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
-		completed[k] = true
+		for _, k := range slots {
+			completed[k] = true
+		}
 		for emitted < n && completed[emitted] {
 			if errs[emitted] == nil {
 				cfg.OnResult(results[emitted])
@@ -402,26 +449,27 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 		}
 	}
 
-	jobCh := make(chan int)
+	jobCh := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range jobCh {
+			for slots := range jobCh {
 				if err := ctx.Err(); err != nil {
-					errs[k] = err
+					for _, k := range slots {
+						errs[k] = err
+					}
 					continue
 				}
-				j := start + k
-				c, si := cands[j/nScen], j%nScen
-				results[k], errs[k] = evaluate(ctx, cfg, c, cfg.Scenarios[si], plans[si])
-				emit(k)
+				si := (start + slots[0]) % nScen
+				evaluateGroup(ctx, cfg, cands, start, slots, cfg.Scenarios[si], plans[si], results, errs)
+				emit(slots)
 			}
 		}()
 	}
-	for k := 0; k < n; k++ {
-		jobCh <- k
+	for _, slots := range groupSlots(start, n, nScen, groupSize(n, cfg.Workers)) {
+		jobCh <- slots
 	}
 	close(jobCh)
 	wg.Wait()
@@ -446,23 +494,58 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 	return results, nil
 }
 
-// evaluate runs one candidate on one compiled scenario plan over the
-// streaming replay path and extracts its objectives.
-func evaluate(ctx context.Context, cfg Config, c Candidate, sc scenario.Scenario, plan *scenario.Plan) (Result, error) {
-	fc, err := c.fleetConfig(cfg)
-	if err != nil {
-		return Result{}, err
+// evaluateGroup runs one group of slots — one candidate each, all on
+// scenario sc — through a single fleet.SimulateGroup replay of the
+// compiled plan, and writes each slot's result or error, extracting
+// the objectives. Each candidate's configuration is built and
+// validated on its own first, so a candidate that fails fails only its
+// own slot.
+func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int, slots []int, sc scenario.Scenario, plan *scenario.Plan, results []Result, errs []error) {
+	nScen := len(cfg.Scenarios)
+	cand := func(k int) Candidate { return cands[(start+k)/nScen] }
+	fail := func(k int, err error) {
+		errs[k] = fmt.Errorf("opt: %s on %s: %w", cand(k).Key(), sc.Name, err)
 	}
-	rep, err := fleet.SimulatePlanStream(ctx, fc, plan)
-	if err != nil {
-		return Result{}, fmt.Errorf("opt: %s on %s: %w", c.Key(), sc.Name, err)
+	live := make([]int, 0, len(slots))
+	fcs := make([]fleet.Config, 0, len(slots))
+	for _, k := range slots {
+		fc, err := cand(k).fleetConfig(cfg)
+		if err != nil {
+			errs[k] = err
+			continue
+		}
+		if err := fc.Validate(); err != nil {
+			fail(k, err)
+			continue
+		}
+		live = append(live, k)
+		fcs = append(fcs, fc)
 	}
-	return Result{
-		Candidate:  c,
-		Scenario:   sc.Name,
-		Report:     rep,
-		Objectives: objectivesOf(rep),
-	}, nil
+	if len(fcs) == 0 {
+		return
+	}
+	reps, err := fleet.SimulateGroup(ctx, fcs, plan.Source())
+	var ge *fleet.GroupError
+	if err != nil && !errors.As(err, &ge) {
+		for _, k := range live {
+			fail(k, err)
+		}
+		return
+	}
+	for i, k := range live {
+		if ge != nil && ge.Errs[i] != nil {
+			fail(k, ge.Errs[i])
+			continue
+		}
+		rep := reps[i]
+		rep.Scenario = plan.Name()
+		results[k] = Result{
+			Candidate:  cand(k),
+			Scenario:   sc.Name,
+			Report:     rep,
+			Objectives: objectivesOf(rep),
+		}
+	}
 }
 
 // evalMean evaluates one candidate across every configured scenario

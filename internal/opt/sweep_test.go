@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,9 @@ func TestSweepShapeAndOrdering(t *testing.T) {
 // TestSweepWorkerCountIndependence is the load-bearing determinism
 // property: the sweep's serialized output — the full CSV grid, the
 // JSON document, and the rendered Pareto frontier — is byte-identical
-// whether 1, 4, or 8 workers evaluated it.
+// whatever the worker count. On the 8-slot grid, 1 to 4 workers replay
+// the slots in pairs that share a scenario and 8 workers one by one,
+// so the output is also independent of the grouping.
 func TestSweepWorkerCountIndependence(t *testing.T) {
 	type encoded struct{ csv, json, text string }
 	encode := func(workers int) encoded {
@@ -108,7 +111,7 @@ func TestSweepWorkerCountIndependence(t *testing.T) {
 		return encoded{c.String(), j.String(), x.String()}
 	}
 	base := encode(1)
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		got := encode(workers)
 		if got.csv != base.csv {
 			t.Errorf("CSV output differs between 1 and %d workers", workers)
@@ -275,7 +278,8 @@ func TestSweepRangeShardsConcatenateToFullGrid(t *testing.T) {
 		t.Fatalf("GridSize = %d, Sweep produced %d results", total, len(full.Results))
 	}
 	// Uneven shard boundaries that split a candidate's scenarios across
-	// shards, evaluated with differing worker counts.
+	// shards, evaluated with differing worker counts. Boundary 3 also
+	// splits the pair {1, 3} the full sweep replays together.
 	bounds := []int{0, 3, 4, total}
 	var merged []Result
 	for i := 0; i+1 < len(bounds); i++ {
@@ -336,9 +340,19 @@ func TestSweepRangeShardsConcatenateToFullGrid(t *testing.T) {
 // distributed coordinator can tell exactly which cells (not just the
 // lowest one) went bad. The failure is provoked by a fault plan
 // compiled for the default pool while half the grid pins a different
-// host count — those evaluations fail at fleet validation.
+// host count — those evaluations fail at fleet validation. At one and
+// two workers the 4-slot grid replays in pairs that put each failing
+// candidate beside a healthy one, which must not fail with it.
 func TestSweepErrorAggregatesGridIndices(t *testing.T) {
-	cfg := testConfig(t, 2)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testSweepErrorIndices(t, workers)
+		})
+	}
+}
+
+func testSweepErrorIndices(t *testing.T, workers int) {
+	cfg := testConfig(t, workers)
 	prof, err := faults.ByName("crashes")
 	if err != nil {
 		t.Fatal(err)
@@ -405,5 +419,38 @@ func TestSweepCancelled(t *testing.T) {
 	cfg2.OnResult = func(Result) { t.Error("evaluation ran under a pre-cancelled context") }
 	if _, err := Sweep(pre, cfg2, testSpace()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancel: got %v, want context.Canceled", err)
+	}
+}
+
+// TestGroupSlotsPairScenarios pins the grouping rule: slots that share
+// a scenario go in pairs while that still leaves every worker a group,
+// one by one otherwise, and groups come out ordered by their lowest
+// slot, the order the pool dispatches them in.
+func TestGroupSlotsPairScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		start, n, nScen, workers int
+		want                     string
+	}{
+		{0, 8, 2, 1, "[[0 2] [1 3] [4 6] [5 7]]"},
+		{0, 8, 2, 4, "[[0 2] [1 3] [4 6] [5 7]]"},
+		{0, 8, 2, 8, "[[0] [1] [2] [3] [4] [5] [6] [7]]"},
+		{0, 48, 2, 2, "pairs"},
+		{3, 4, 2, 2, "[[0 2] [1 3]]"},
+		{0, 3, 2, 1, "[[0 2] [1]]"},
+		{0, 3, 3, 1, "[[0] [1] [2]]"},
+		{1, 5, 1, 2, "[[0 1] [2 3] [4]]"},
+	} {
+		got := groupSlots(tc.start, tc.n, tc.nScen, groupSize(tc.n, tc.workers))
+		if tc.want == "pairs" {
+			for _, g := range got {
+				if len(g) != 2 {
+					t.Errorf("%+v: group %v, want every group a pair", tc, g)
+				}
+			}
+			continue
+		}
+		if s := fmt.Sprint(got); s != tc.want {
+			t.Errorf("%+v: groups %s, want %s", tc, s, tc.want)
+		}
 	}
 }

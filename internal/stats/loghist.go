@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the merge-exact histogram primitive behind the cluster
-// simulator's latency and contention accounting. A LogHist holds a
-// fixed number of logarithmically spaced buckets: bucket 0 collects
+// simulator's latency and contention accounting. A LogHist's layout
+// fixes a number of logarithmically spaced buckets: bucket 0 collects
 // everything at or below the origin, and above it each doubling of the
 // value is split into BucketsPerDoubling buckets, so quantiles read
 // back with ~2% relative resolution at 32 buckets per doubling.
@@ -104,14 +104,21 @@ func (c LogHistConfig) Value(idx int) float64 {
 	return c.Origin * math.Exp2(float64(idx)/float64(c.BucketsPerDoubling))
 }
 
-// LogHist is a fixed-size logarithmic histogram with exactly tracked
-// moments. Observations feed integer bucket counts plus count, sum,
-// sum of squares, min, and max; Quantile and Summary read everything
-// back without retaining samples. The zero LogHist is not usable —
-// construct with NewLogHist.
+// LogHist is a logarithmic histogram with exactly tracked moments.
+// Observations feed integer bucket counts plus count, sum, sum of
+// squares, min, and max; Quantile and Summary read everything back
+// without retaining samples. The counts live in a window over the
+// layout's buckets that grows on demand to cover every bucket
+// observed: the layout fixes what a bucket index means, the window
+// only how many counters are held, so a histogram whose observations
+// span a few doublings holds a few hundred counters, not all Buckets.
+// The zero LogHist is not usable — construct with NewLogHist.
 type LogHist struct {
-	cfg    LogHistConfig
-	thr    []float64 // cached sub-doubling edges (cfg.edges())
+	cfg LogHistConfig
+	thr []float64 // cached sub-doubling edges (cfg.edges())
+	// counts[i] is bucket lo+i's count; buckets outside the window are
+	// empty. Nil until the first observation or merge.
+	lo     int
 	counts []int
 	n      int
 	sum    float64
@@ -120,14 +127,43 @@ type LogHist struct {
 	max    float64
 }
 
-// NewLogHist returns an empty histogram with the given layout. The
-// config must pass Validate; an invalid layout is a programming error
-// and panics rather than silently mis-bucketing.
+// NewLogHist returns an empty histogram with the given layout. It
+// allocates no counters until the first observation. The config must
+// pass Validate; an invalid layout is a programming error and panics
+// rather than silently mis-bucketing.
 func NewLogHist(cfg LogHistConfig) *LogHist {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &LogHist{cfg: cfg, thr: cfg.edges(), counts: make([]int, cfg.Buckets)}
+	return &LogHist{cfg: cfg, thr: cfg.edges()}
+}
+
+// windowSlack is the fewest spare buckets a grown window adds on each
+// side that grew: half a doubling at the fleet's 32-per-doubling
+// layouts, so a first observation already covers its neighbourhood.
+const windowSlack = 16
+
+// cover grows the counts window to include buckets [lo, hi). A side
+// that grows gains slack of half the new span (at least windowSlack),
+// so a histogram drifting across its layout regrows O(log Buckets)
+// times.
+func (h *LogHist) cover(lo, hi int) {
+	oldLo, oldHi := h.lo, h.lo+len(h.counts)
+	if h.counts != nil {
+		lo, hi = min(lo, oldLo), max(hi, oldHi)
+	}
+	slack := max((hi-lo)/2, windowSlack)
+	if h.counts == nil || lo < oldLo {
+		lo = max(lo-slack, 0)
+	}
+	if h.counts == nil || hi > oldHi {
+		hi = min(hi+slack, h.cfg.Buckets)
+	}
+	counts := make([]int, hi-lo)
+	if h.counts != nil {
+		copy(counts[oldLo-lo:], h.counts)
+	}
+	h.lo, h.counts = lo, counts
 }
 
 // Config returns the histogram's bucket layout.
@@ -149,7 +185,13 @@ func (h *LogHist) Observe(x float64) {
 	case math.IsInf(v, 1):
 		v = h.cfg.Value(h.cfg.Buckets - 1)
 	}
-	h.counts[h.bucket(x)]++
+	idx := h.bucket(x)
+	i := idx - h.lo
+	if uint(i) >= uint(len(h.counts)) {
+		h.cover(idx, idx+1)
+		i = idx - h.lo
+	}
+	h.counts[i]++
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -197,8 +239,12 @@ func (h *LogHist) Merge(o *LogHist) error {
 	if o.cfg != h.cfg {
 		return fmt.Errorf("stats: loghist layout mismatch %+v vs %+v", h.cfg, o.cfg)
 	}
+	if o.lo < h.lo || o.lo+len(o.counts) > h.lo+len(h.counts) {
+		h.cover(o.lo, o.lo+len(o.counts))
+	}
+	dst := h.counts[o.lo-h.lo:]
 	for i, c := range o.counts {
-		h.counts[i] += c
+		dst[i] += c
 	}
 	if h.n == 0 || o.min < h.min {
 		h.min = o.min
@@ -232,7 +278,7 @@ func (h *LogHist) Quantile(q float64) float64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v = h.cfg.Value(i)
+			v = h.cfg.Value(h.lo + i)
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -181,5 +182,182 @@ func TestLogHistEmptyAndMismatch(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid config %+v accepted", bad)
 		}
+	}
+}
+
+// denseHist is the reference LogHist keeps its windowed counts equal
+// to: every bucket of the layout held, each observation indexed through
+// LogHistConfig.Bucket, and the moments tracked by the same clamping
+// rule.
+type denseHist struct {
+	cfg                LogHistConfig
+	counts             []int
+	n                  int
+	sum, sumSq, lo, hi float64
+}
+
+func newDenseHist(cfg LogHistConfig) *denseHist {
+	return &denseHist{cfg: cfg, counts: make([]int, cfg.Buckets)}
+}
+
+func (d *denseHist) observe(x float64) {
+	v := x
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, -1):
+		v = d.cfg.Origin
+	case math.IsInf(v, 1):
+		v = d.cfg.Value(d.cfg.Buckets - 1)
+	}
+	d.counts[d.cfg.Bucket(x)]++
+	if d.n == 0 || v < d.lo {
+		d.lo = v
+	}
+	if d.n == 0 || v > d.hi {
+		d.hi = v
+	}
+	d.n++
+	d.sum += v
+	d.sumSq += v * v
+}
+
+// merge is Merge's arithmetic over dense counts: bucket addition plus
+// moment addition, in the same order.
+func (d *denseHist) merge(o *denseHist) {
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	if d.n == 0 || o.lo < d.lo {
+		d.lo = o.lo
+	}
+	if d.n == 0 || o.hi > d.hi {
+		d.hi = o.hi
+	}
+	d.n += o.n
+	d.sum += o.sum
+	d.sumSq += o.sumSq
+}
+
+func (d *denseHist) quantile(q float64) float64 {
+	if d.n == 0 {
+		return d.cfg.Origin
+	}
+	rank := min(max(int(math.Ceil(q*float64(d.n))), 1), d.n)
+	cum := 0
+	for i, c := range d.counts {
+		if cum += c; cum >= rank {
+			return min(max(d.cfg.Value(i), d.lo), d.hi)
+		}
+	}
+	panic("dense reference lost an observation")
+}
+
+func (d *denseHist) summary() Summary {
+	if d.n == 0 {
+		return Summary{}
+	}
+	mean := d.sum / float64(d.n)
+	return Summary{
+		N: d.n, Mean: mean, StdDev: math.Sqrt(max(d.sumSq/float64(d.n)-mean*mean, 0)),
+		Min: d.lo, P5: d.quantile(0.05), P25: d.quantile(0.25), Median: d.quantile(0.5),
+		P75: d.quantile(0.75), P95: d.quantile(0.95), P99: d.quantile(0.99), Max: d.hi,
+	}
+}
+
+// matchesDense fails t unless h reads back exactly as the dense
+// reference: N, every quantile on a fine grid, and the summary.
+func matchesDense(t *testing.T, name string, h *LogHist, d *denseHist) {
+	t.Helper()
+	if h.N() != d.n {
+		t.Fatalf("%s: N = %d, dense reference %d", name, h.N(), d.n)
+	}
+	for q := 0.0; q <= 1; q += 0.005 {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, dense reference %v", name, q, got, want)
+		}
+	}
+	if got, want := h.Summary(), d.summary(); got != want {
+		t.Fatalf("%s: summary\n%+v\ndense reference\n%+v", name, got, want)
+	}
+}
+
+// TestLogHistWindowMatchesDense pins the windowed counts against a
+// dense reference over every bucket: observations spread across the
+// layout, including NaN, ±Inf, values at or below the origin and past
+// the top bucket, read back identically, and so do merges across
+// disjoint windows, into an empty histogram, and from an empty or nil
+// one. An unobserved histogram holds no counters at all.
+func TestLogHistWindowMatchesDense(t *testing.T) {
+	cfg := LogHistConfig{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280}
+	if h := NewLogHist(cfg); h.counts != nil {
+		t.Fatalf("an unobserved histogram holds %d counters", len(h.counts))
+	}
+	r := NewRand(20261017)
+	// draw picks from a band of the layout, with a sprinkling of the
+	// values that clamp.
+	draw := func(lo, hi float64) float64 {
+		switch r.Intn(40) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		case 3:
+			return cfg.Origin * r.Float64() // at or below the origin
+		case 4:
+			return cfg.Value(cfg.Buckets) * (1 + r.Float64()) // past the top bucket
+		}
+		return math.Exp(r.Uniform(math.Log(lo), math.Log(hi)))
+	}
+	bands := []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"narrow", 40, 45},
+		{"ms", 1, 1e4},
+		{"low", 1e-3, 1e-2},
+		{"high", 1e7, 1e9},
+		{"layout", 1e-4, 1e10},
+	}
+	for _, b := range bands {
+		h, d := NewLogHist(cfg), newDenseHist(cfg)
+		for i := 0; i < 5000; i++ {
+			x := draw(b.lo, b.hi)
+			h.Observe(x)
+			d.observe(x)
+		}
+		matchesDense(t, b.name, h, d)
+	}
+
+	// Merges: two disjoint windows, then a third spanning both, into an
+	// empty histogram, and empty or nil sources, which change nothing.
+	parts := []struct{ lo, hi float64 }{{1, 2}, {1e6, 1e7}, {1e-2, 1e8}}
+	merged, whole := NewLogHist(cfg), newDenseHist(cfg)
+	for i, p := range parts {
+		h, d := NewLogHist(cfg), newDenseHist(cfg)
+		for j := 0; j < 2000; j++ {
+			x := math.Exp(r.Uniform(math.Log(p.lo), math.Log(p.hi)))
+			h.Observe(x)
+			d.observe(x)
+		}
+		if err := merged.Merge(h); err != nil {
+			t.Fatal(err)
+		}
+		whole.merge(d)
+		matchesDense(t, fmt.Sprintf("merged %d parts", i+1), merged, whole)
+	}
+	var nilHist *LogHist
+	for name, o := range map[string]*LogHist{"empty": NewLogHist(cfg), "nil": nilHist} {
+		if err := merged.Merge(o); err != nil {
+			t.Fatal(err)
+		}
+		matchesDense(t, "merged from "+name, merged, whole)
+	}
+	empty := NewLogHist(cfg)
+	if err := empty.Merge(NewLogHist(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if empty.counts != nil {
+		t.Error("merging an empty histogram allocated counters")
 	}
 }
