@@ -223,7 +223,7 @@ func BenchmarkFleetStream(b *testing.B) {
 				b.ResetTimer()
 				peakHeap(b, func() {
 					for i := 0; i < b.N; i++ {
-						rep, err := fleet.SimulatePlanStream(context.Background(), fleetCfg(b), plan)
+						rep, err := fleet.SimulateStream(context.Background(), fleetCfg(b), plan.Source())
 						if err != nil {
 							b.Fatal(err)
 						}

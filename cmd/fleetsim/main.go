@@ -474,11 +474,11 @@ func sweepParams(fs *flag.FlagSet, sim api.SimulateParams,
 }
 
 // runDistributed runs the sweep through the distributed coordinator:
-// spawn n copies of this binary in -worker mode against an in-process
-// coordinator, wait for the merged result, and render it exactly as
-// the in-process sweep would. All chatter goes to stderr so stdout
-// stays byte-identical to the single-process run — the property the
-// CI gate cmp's and -verify proves in-process.
+// Coordinator.Run spawns n copies of this binary in -worker mode
+// against an in-process coordinator, and the merged result renders
+// exactly as the in-process sweep would. All chatter goes to stderr so
+// stdout stays byte-identical to the single-process run — the property
+// the CI gate cmp's and -verify proves in-process.
 func runDistributed(w io.Writer, spec distsweep.Spec, n int, listen, dir string,
 	evalWorkers int, paretoOnly, verify bool, format string) error {
 	// Reject output-shape errors before any evaluation runs, exactly
@@ -516,102 +516,30 @@ func runDistributed(w io.Writer, spec distsweep.Spec, n int, listen, dir string,
 	fmt.Fprintf(os.Stderr, "fleetsim: coordinator on %s (%d shards, spec %.12s), spawning %d workers\n",
 		coord.Addr(), len(coord.Shards()), coord.SpecHash(), n)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type waitResult struct {
-		sr  *opt.SweepResult
-		err error
-	}
-	waitCh := make(chan waitResult, 1)
-	go func() {
-		sr, err := coord.Wait(ctx)
-		waitCh <- waitResult{sr, err}
-	}()
-
-	workerArgs := []string{"-worker", "-connect", coord.Addr()}
+	var poolArgs []string
 	if evalWorkers > 0 {
-		workerArgs = append(workerArgs, "-workers", strconv.Itoa(evalWorkers))
+		poolArgs = []string{"-workers", strconv.Itoa(evalWorkers)}
 	}
-	exited := make(chan error, n)
-	var procs []*exec.Cmd
-	defer func() {
-		for _, p := range procs {
-			p.Process.Kill()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(self, workerArgs...)
+	ctx := context.Background()
+	sr, err := coord.Run(ctx, n, func(ctx context.Context, addr string) error {
+		cmd := exec.CommandContext(ctx, self, append([]string{"-worker", "-connect", addr}, poolArgs...)...)
 		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			cancel()
-			<-waitCh
-			return fmt.Errorf("spawning worker %d: %w", i, err)
+		if err := cmd.Run(); err != nil && ctx.Err() == nil {
+			fmt.Fprintf(os.Stderr, "fleetsim: worker exited: %v\n", err)
+			return err
 		}
-		procs = append(procs, cmd)
-		go func(c *exec.Cmd) { exited <- c.Wait() }(cmd)
+		// A worker killed because Run is returning was cancelled, not failed.
+		return ctx.Err()
+	})
+	if err != nil {
+		return err
 	}
-
-	var res waitResult
-	exits := 0
-	var lastExit error
-arbitrate:
-	for {
-		select {
-		case res = <-waitCh:
-			break arbitrate
-		case err := <-exited:
-			exits++
-			if err != nil {
-				lastExit = err
-				fmt.Fprintf(os.Stderr, "fleetsim: worker exited: %v (%d/%d gone)\n", err, exits, n)
-			}
-			if exits < n {
-				// Surviving workers reclaim the dead one's shards via
-				// the heartbeat timeout; the sweep continues.
-				continue
-			}
-			// Every worker is gone. After a clean completion they all
-			// exit zero and Wait is already unblocking — give it a
-			// moment before declaring the run dead.
-			select {
-			case res = <-waitCh:
-				break arbitrate
-			case <-time.After(5 * time.Second):
-				cancel()
-				<-waitCh
-				if lastExit != nil {
-					return fmt.Errorf("all %d workers exited before the sweep completed (last: %v)", n, lastExit)
-				}
-				return fmt.Errorf("all %d workers exited before the sweep completed", n)
-			}
-		}
-	}
-	if res.err != nil {
-		return res.err
-	}
-	sr := res.sr
-
 	if verify {
-		// The distributed path's whole promise is byte identity with
-		// the in-process sweep; -verify proves it by running both.
-		ocfg, space, err := spec.Configs()
-		if err != nil {
+		if err := distsweep.Verify(ctx, spec, sr); err != nil {
+			if errors.Is(err, distsweep.ErrDiverged) {
+				return &verifyFailure{err}
+			}
 			return err
-		}
-		ref, err := opt.Sweep(context.Background(), ocfg, space)
-		if err != nil {
-			return err
-		}
-		var got, want bytes.Buffer
-		if err := sr.WriteJSON(&got); err != nil {
-			return err
-		}
-		if err := ref.WriteJSON(&want); err != nil {
-			return err
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			return &verifyFailure{fmt.Errorf("distributed sweep diverged from the in-process sweep (%d vs %d JSON bytes)",
-				got.Len(), want.Len())}
 		}
 		fmt.Fprintln(os.Stderr, "fleetsim: distributed result verified byte-identical to the in-process sweep")
 	}

@@ -223,8 +223,8 @@ func TestRunFlagConflictMessages(t *testing.T) {
 // TestRunStreamMatchesMaterialized checks the CLI's one replay path
 // against the library's materialized views: for a scenario, the raw
 // generator and a tenant mix, the printed report is the one
-// fleet.SimulateScenario (fleet.Simulate over trace.Generate, for raw)
-// renders for the same resolved configuration.
+// fleet.Simulate renders over the scenario's collected trace (over
+// trace.Generate, for raw) for the same resolved configuration.
 func TestRunStreamMatchesMaterialized(t *testing.T) {
 	for _, scenarioName := range []string{"flash-crowd", "raw", "multi-tenant"} {
 		var out bytes.Buffer
@@ -236,15 +236,17 @@ func TestRunStreamMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep fleet.Report
+		var tr *trace.Trace
 		if scenarioName == "raw" {
-			rep, err = fleet.Simulate(fc, trace.Generate(scfg.Base))
-		} else {
-			rep, _, err = fleet.SimulateScenario(fc, sc, scfg)
+			tr = trace.Generate(scfg.Base)
+		} else if tr, err = sc.Trace(scfg); err != nil {
+			t.Fatal(err)
 		}
+		rep, err := fleet.Simulate(fc, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep.Scenario = sc.Name
 		var want bytes.Buffer
 		rep.WriteText(&want)
 		if got := reportBlock(t, out.String()); got != want.String() {

@@ -1,9 +1,10 @@
 // Policy sweep: turn the fleet simulator into a decision tool. The
 // optimizer (internal/opt) evaluates a grid of placement policy ×
 // keep-alive TTL × overcommit configurations against several workload
-// scenarios concurrently — every evaluation streams through
-// fleet.SimulateScenarioStream — and reduces the grid to the Pareto
-// frontier over cost, cold-start rate, and p99 contention slowdown.
+// scenarios concurrently — candidates that share a scenario stream
+// through one fleet.SimulateGroup replay of its source — and reduces
+// the grid to the Pareto frontier over cost, cold-start rate, and p99
+// contention slowdown.
 // A coordinate-descent pass then narrows the continuous knobs around
 // the cheapest frontier point.
 //

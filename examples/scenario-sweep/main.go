@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,17 +36,12 @@ func main() {
 			Hosts: 8, Host: fleet.DefaultHostSpec(), Policy: pol,
 			Profile: core.AWS(), Overcommit: 2, Seed: 20260613,
 		}
-		rep, tr, err := fleet.SimulateScenario(cfg, sc, scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
 		// The independent per-host replay must reproduce the report.
-		agg, err := diffsim.Replay(cfg, tr)
-		if err != nil {
+		res, rep, err := diffsim.VerifyStream(context.Background(), cfg, sc.Source(scfg), diffsim.DefaultTolerance)
+		if res == nil {
 			log.Fatal(err)
 		}
-		res := diffsim.Diff(rep, agg)
-		if err := res.Check(diffsim.DefaultTolerance); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: differential verification FAILED: %v\n", sc.Name, err)
 			os.Exit(1)
 		}

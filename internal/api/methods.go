@@ -117,102 +117,67 @@ func BuiltinRegistry() *Registry {
 // heartbeats on a simulate job's event stream.
 const progressEvery = 100000
 
-// countingStream decorates a trace stream with progress emission. The
-// stream countingSource returns has exactly the optional fast paths of
-// the stream it wraps (the variants below), so the simulator takes the
-// same path through the wrapper as it would without it.
+// fastStream is a stream with both fast paths. Every source a simulate
+// job replays (trace.GenerateSource, scenario.Plan.Source) opens one.
+type fastStream interface {
+	trace.IntoStream
+	trace.PodScanner
+}
+
+// countingStream decorates a stream with progress events. The method
+// the simulator calls names the phase: PodScan is the placement pass,
+// reported as one "scan" event with the scanned total, and NextInto
+// the replay, reported as a "replay" event every progressEvery
+// requests. It only observes requests on their way through; it cannot
+// change what the simulation computes.
 type countingStream struct {
-	trace.Stream
-	rt    *Runtime
-	phase string
-	n     int
+	s  fastStream
+	rt *Runtime
+	n  int
 }
 
 func (c *countingStream) Next() (trace.Request, bool) {
-	req, ok := c.Stream.Next()
-	if ok {
-		c.pulled()
-	}
-	return req, ok
+	var r trace.Request
+	ok := c.NextInto(&r)
+	return r, ok
 }
 
-func (c *countingStream) pulled() {
+func (c *countingStream) NextInto(r *trace.Request) bool {
+	if !c.s.NextInto(r) {
+		return false
+	}
 	c.n++
 	if c.n%progressEvery == 0 {
-		_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: c.n})
+		_ = c.rt.Emit(Event{Type: EventProgress, Phase: "replay", Requests: c.n})
 	}
+	return true
 }
 
-// podScan forwards the wrapped stream's pod scan and reports the
-// scanned request total as one progress event: a placement pass that
-// scans pulls no requests, but its phase still shows on the job's
-// event stream.
-func (c *countingStream) podScan(ps trace.PodScanner) []trace.PodMeta {
-	metas := ps.PodScan()
+func (c *countingStream) PodScan() []trace.PodMeta {
+	metas := c.s.PodScan()
 	total := 0
 	for _, m := range metas {
 		total += m.NReqs
 	}
-	_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: total})
+	_ = c.rt.Emit(Event{Type: EventProgress, Phase: "scan", Requests: total})
 	return metas
 }
 
-type countingIntoStream struct {
-	*countingStream
-	into func(*trace.Request) bool
-}
-
-func (c countingIntoStream) NextInto(r *trace.Request) bool {
-	if !c.into(r) {
-		return false
-	}
-	c.pulled()
-	return true
-}
-
-type countingScanStream struct {
-	*countingStream
-	ps trace.PodScanner
-}
-
-func (c countingScanStream) PodScan() []trace.PodMeta { return c.podScan(c.ps) }
-
-type countingIntoScanStream struct {
-	countingIntoStream
-	ps trace.PodScanner
-}
-
-func (c countingIntoScanStream) PodScan() []trace.PodMeta { return c.podScan(c.ps) }
-
 // countingSource wraps a source so each opened stream emits progress
-// heartbeats. The streaming simulator opens its input twice — the
-// first opening is the placement scan, the second the replay — so the
-// open ordinal names the phase. The wrapper only observes requests on
-// their way through; it cannot change what the simulation computes.
+// events. It refuses a stream without both fast paths: the placement
+// pass would scan one request by request, and its pulls would be
+// reported as replay.
 func (rt *Runtime) countingSource(src trace.Source) trace.Source {
-	opens := 0
 	return func() (trace.Stream, error) {
 		s, err := src()
 		if err != nil {
 			return nil, err
 		}
-		opens++
-		phase := "scan"
-		if opens > 1 {
-			phase = "replay"
+		fs, ok := s.(fastStream)
+		if !ok {
+			return nil, fmt.Errorf("api: progress reporting needs a stream with NextInto and PodScan, not %T", s)
 		}
-		c := &countingStream{Stream: s, rt: rt, phase: phase}
-		is, into := s.(trace.IntoStream)
-		ps, scan := s.(trace.PodScanner)
-		switch {
-		case into && scan:
-			return countingIntoScanStream{countingIntoStream{c, is.NextInto}, ps}, nil
-		case into:
-			return countingIntoStream{c, is.NextInto}, nil
-		case scan:
-			return countingScanStream{c, ps}, nil
-		}
-		return c, nil
+		return &countingStream{s: fs, rt: rt}, nil
 	}
 }
 
@@ -247,7 +212,7 @@ func marshalRaw(v any) json.RawMessage {
 
 func runSimulateJob(ctx context.Context, rt *Runtime, params json.RawMessage) error {
 	var p SimulateParams
-	if err := decodeParams(params, &p); err != nil {
+	if err := DecodeParams(params, &p); err != nil {
 		return err
 	}
 	p = p.withDefaults()
@@ -265,7 +230,7 @@ func runSimulateJob(ctx context.Context, rt *Runtime, params json.RawMessage) er
 
 func runVerifyJob(ctx context.Context, rt *Runtime, params json.RawMessage) error {
 	var p SimulateParams
-	if err := decodeParams(params, &p); err != nil {
+	if err := DecodeParams(params, &p); err != nil {
 		return err
 	}
 	p = p.withDefaults()
@@ -302,7 +267,7 @@ func runVerifyJob(ctx context.Context, rt *Runtime, params json.RawMessage) erro
 func runSweepJob(paretoOnly bool) func(context.Context, *Runtime, json.RawMessage) error {
 	return func(ctx context.Context, rt *Runtime, params json.RawMessage) error {
 		var p SweepParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return err
 		}
 		cfg, space, err := SweepConfigs(p, rt.Seed)
@@ -322,7 +287,7 @@ func runSweepJob(paretoOnly bool) func(context.Context, *Runtime, json.RawMessag
 		if err != nil {
 			return err
 		}
-		doc, err := sweepDoc(sr)
+		doc, err := SweepDoc(sr)
 		if err != nil {
 			return err
 		}
@@ -330,13 +295,13 @@ func runSweepJob(paretoOnly bool) func(context.Context, *Runtime, json.RawMessag
 	}
 }
 
-// sweepDoc renders the sweep as the same JSON document fleetsim
+// SweepDoc renders the sweep as the same JSON document fleetsim
 // -sweep -format json writes, compacted onto one line so it can ride
 // a single NDJSON event. Compaction only strips inter-token
 // whitespace — field order and value spellings are untouched — so
 // clients can compare it byte-for-byte against a compacted in-process
 // document.
-func sweepDoc(sr *opt.SweepResult) (json.RawMessage, error) {
+func SweepDoc(sr *opt.SweepResult) (json.RawMessage, error) {
 	var pretty, compact bytes.Buffer
 	if err := sr.WriteJSON(&pretty); err != nil {
 		return nil, err

@@ -9,45 +9,37 @@ import (
 	"testing"
 
 	"slscost/internal/fleet"
+	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
 
-// nextOnly hides every optional fast path of the stream it wraps.
-type nextOnly struct{ trace.Stream }
-
-// scanOnly offers a pod scan but no NextInto.
-type scanOnly struct {
-	nextOnly
-	trace.PodScanner
-}
-
-// TestCountingSourceMirrorsFastPaths checks that the progress wrapper
-// neither hides nor adds a fast path: each opened stream offers
-// NextInto and PodScan exactly when the wrapped stream does.
-func TestCountingSourceMirrorsFastPaths(t *testing.T) {
-	gen := trace.DefaultGeneratorConfig()
-	gen.Requests = 100
-	scanned := trace.GenerateStream(gen)
-	for _, tc := range []struct {
-		name       string
-		s          trace.Stream
-		into, scan bool
-	}{
-		{"next only", nextOnly{scanned}, false, false},
-		{"into", trace.FromTrace(trace.Generate(gen)), true, false},
-		{"scan", scanOnly{nextOnly{scanned}, scanned.(trace.PodScanner)}, false, true},
-		{"into and scan", scanned, true, true},
-	} {
-		rt := &Runtime{}
-		s, err := rt.countingSource(func() (trace.Stream, error) { return tc.s, nil })()
+// TestCountingSourceKeepsFastPaths opens the progress wrapper over the
+// source of every workload a simulate job can name, raw and each
+// catalog scenario, and checks the stream keeps both fast paths, so
+// the placement pass scans pods instead of pulling requests. A stream
+// without them is refused.
+func TestCountingSourceKeepsFastPaths(t *testing.T) {
+	rt := &Runtime{Seed: 3}
+	for _, name := range append([]string{"raw"}, scenario.Names()...) {
+		_, src, _, err := rt.simulateSource(SimulateParams{Scenario: name, Requests: 1000}.withDefaults())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, err := rt.countingSource(src)()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		_, into := s.(trace.IntoStream)
 		_, scan := s.(trace.PodScanner)
-		if into != tc.into || scan != tc.scan {
-			t.Errorf("%s: wrapper has NextInto %v, PodScan %v; want %v, %v", tc.name, into, scan, tc.into, tc.scan)
+		if !into || !scan {
+			t.Errorf("%s: wrapped stream has NextInto %v, PodScan %v; want both", name, into, scan)
 		}
+	}
+
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 100
+	if _, err := rt.countingSource(trace.SourceOf(trace.Generate(gen)))(); err == nil {
+		t.Fatal("wrapped a stream without a pod scan")
 	}
 }
 
@@ -93,10 +85,11 @@ func TestSimulateJobPullsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fleet.SimulatePlanStream(context.Background(), fc, plan)
+	rep, err := fleet.SimulateStream(context.Background(), fc, plan.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Scenario = plan.Name()
 	if local := marshalRaw(rep); !bytes.Equal(report, local) {
 		t.Fatalf("daemon report differs from the in-process run:\ndaemon:     %s\nin-process: %s", report, local)
 	}

@@ -363,7 +363,7 @@ func TestSweepStreamByteIdentical(t *testing.T) {
 	// The in-process oracle: the exact library calls the CLI makes,
 	// configured through the same spec resolution the daemon uses.
 	var p SweepParams
-	if err := decodeParams(sweepSpec(seed).Params, &p); err != nil {
+	if err := DecodeParams(sweepSpec(seed).Params, &p); err != nil {
 		t.Fatal(err)
 	}
 	cfg, space, err := SweepConfigs(p, seed)
@@ -374,7 +374,7 @@ func TestSweepStreamByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDoc, err := sweepDoc(sr)
+	wantDoc, err := SweepDoc(sr)
 	if err != nil {
 		t.Fatal(err)
 	}

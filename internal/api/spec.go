@@ -203,9 +203,11 @@ type SweepParams struct {
 	KeepAliveModes []string `json:"keepalive_modes,omitempty"`
 }
 
-// decodeParams strictly decodes a raw params object into dst. A nil
-// or empty params is the all-defaults object.
-func decodeParams(raw json.RawMessage, dst any) error {
+// DecodeParams strictly decodes a raw params object into dst: unknown
+// fields and trailing data are errors. A nil or empty params is the
+// all-defaults object. Every method decodes its params through it,
+// opt.distsweep's included.
+func DecodeParams(raw json.RawMessage, dst any) error {
 	if len(raw) == 0 {
 		return nil
 	}

@@ -44,7 +44,8 @@ type CoordinatorConfig struct {
 
 // Coordinator owns one distributed sweep: the listener workers dial,
 // the shard scheduler, and the checkpoint logs. Create one with
-// Start, then block in Wait for the merged result.
+// Start, then Run the workers (or block in Wait while workers started
+// elsewhere dial in) for the merged result.
 type Coordinator struct {
 	cfg       CoordinatorConfig
 	ocfg      opt.Config
@@ -64,6 +65,7 @@ type Coordinator struct {
 	done      []bool
 	remaining int
 	conns     map[net.Conn]struct{}
+	closing   bool // set by shutdown; no handler registers after it
 
 	complete chan struct{} // closed when every shard is durable
 	fail     chan struct{} // closed on the first fatal error
@@ -200,13 +202,85 @@ func (c *Coordinator) Wait(ctx context.Context) (*opt.SweepResult, error) {
 	return opt.AssembleSweep(c.ocfg, c.space, results)
 }
 
+// exitGrace is how long Run waits, once every worker has exited
+// cleanly, for the completion a clean exit implies: a worker exits
+// zero only after the coordinator announced completion, so Wait is
+// at most a teardown away from returning.
+const exitGrace = 5 * time.Second
+
+// Run starts n workers through start and waits for the merged result;
+// it is the one place that decides when a run with dead workers is
+// over. Each start call gets the address to dial and a context Run
+// cancels before it returns, and Run returns only after every start
+// call has. A worker whose start returns an error other than
+// context.Canceled is remembered, and the heartbeat re-dispatches its
+// shard to the survivors. Once all n have exited, Run fails at once
+// with an error wrapping the first failure if any worker failed, and
+// otherwise waits exitGrace for completion before failing. A
+// cancelled ctx returns ctx.Err(); a failure of the coordinator
+// itself returns as Wait returns it.
+func (c *Coordinator) Run(ctx context.Context, n int, start func(ctx context.Context, addr string) error) (*opt.SweepResult, error) {
+	wctx, cancel := context.WithCancel(ctx)
+	var sr *opt.SweepResult
+	var err error
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		sr, err = c.Wait(wctx)
+	}()
+	exited := make(chan error, n)
+	for range n {
+		go func() { exited <- start(wctx, c.Addr()) }()
+	}
+	running := n
+	defer func() {
+		cancel()
+		for ; running > 0; running-- {
+			<-exited
+		}
+	}()
+
+	var first, abort error // the first worker failure; why Run cancelled Wait
+	var grace <-chan time.Time
+	for {
+		select {
+		case <-waited:
+			if abort != nil && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+				return nil, abort
+			}
+			return sr, err
+		case werr := <-exited:
+			running--
+			if werr != nil && !errors.Is(werr, context.Canceled) && first == nil {
+				first = werr
+			}
+			switch {
+			case running > 0:
+				// The heartbeat hands a dead worker's shard to a survivor.
+			case first != nil:
+				abort = fmt.Errorf("distsweep: all %d workers exited before the sweep completed, first failure: %w", n, first)
+				cancel()
+			default:
+				grace = time.After(exitGrace)
+			}
+		case <-grace:
+			abort = fmt.Errorf("distsweep: all %d workers exited before the sweep completed", n)
+			cancel()
+		}
+	}
+}
+
 // shutdown stops accepting, closes every live connection so handlers
 // unblock, waits for them, and releases the checkpoint logs. After a
 // clean completion it first gives handlers a moment to deliver
 // MsgComplete, so workers exit zero instead of reporting a torn
-// connection.
+// connection. The closing flag goes up before any wait, so the accept
+// loop cannot register a handler the waits would miss.
 func (c *Coordinator) shutdown() {
 	c.doneOnce.Do(func() {
+		c.mu.Lock()
+		c.closing = true
+		c.mu.Unlock()
 		c.ln.Close()
 		select {
 		case <-c.complete:
@@ -256,9 +330,14 @@ func (c *Coordinator) acceptLoop() {
 			return // listener closed by shutdown
 		}
 		c.mu.Lock()
+		if c.closing {
+			c.mu.Unlock()
+			conn.Close()
+			return
+		}
 		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
 		c.handlers.Add(1)
+		c.mu.Unlock()
 		go c.handleConn(conn)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,12 +143,133 @@ func TestDistributedMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestLocalVerified exercises the -verify analogue end to end.
+// TestLocalVerified runs Local and then Verify, the in-process
+// analogue of fleetsim -distribute -verify, and checks that Verify
+// refuses a result the single-process sweep of its spec does not
+// reproduce.
 func TestLocalVerified(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := LocalVerified(ctx, LocalConfig{Spec: testSpec(), Workers: 2, EvalWorkers: 2}); err != nil {
+	spec := testSpec()
+	sr, err := Local(ctx, LocalConfig{Spec: spec, Workers: 2, EvalWorkers: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := Verify(ctx, spec, sr); err != nil {
+		t.Fatal(err)
+	}
+	other := spec
+	other.Seed++
+	if err := Verify(ctx, other, sr); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("verifying against another seed: got %v, want ErrDiverged", err)
+	}
+}
+
+// TestRunFailsFastWhenEveryWorkerFails checks that once every worker
+// has exited and any of them failed, Run stops waiting at once, well
+// before exitGrace, and returns an error wrapping the failure.
+func TestRunFailsFastWhenEveryWorkerFails(t *testing.T) {
+	errWorker := errors.New("worker failed")
+	for _, tc := range []struct {
+		name string
+		exit func(worker int32) error
+	}{
+		{"every worker fails", func(w int32) error { return fmt.Errorf("worker %d: %w", w, errWorker) }},
+		{"one fails, the rest exit cleanly", func(w int32) error {
+			if w == 0 {
+				return errWorker
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := Start(CoordinatorConfig{Spec: testSpec(), Dir: t.TempDir()}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var started atomic.Int32
+			begin := time.Now()
+			sr, err := coord.Run(context.Background(), 3, func(ctx context.Context, addr string) error {
+				return tc.exit(started.Add(1) - 1)
+			})
+			if sr != nil || !errors.Is(err, errWorker) {
+				t.Fatalf("got %v, %v; want an error wrapping %q", sr, err, errWorker)
+			}
+			if d := time.Since(begin); d >= exitGrace/2 {
+				t.Fatalf("Run gave up after %v, want well under exitGrace (%v)", d, exitGrace)
+			}
+		})
+	}
+}
+
+// TestRunReturnsContextError ends Run's parent context while the
+// workers block; Run must return ctx.Err() even though each worker
+// reports the cancellation as a failure of its own, as a killed
+// worker process does.
+func TestRunReturnsContextError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(100*time.Millisecond, cancel)
+			return ctx, cancel
+		}},
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 100*time.Millisecond)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := Start(CoordinatorConfig{Spec: testSpec(), Dir: t.TempDir()}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			sr, err := coord.Run(ctx, 2, func(ctx context.Context, addr string) error {
+				<-ctx.Done()
+				return errors.New("signal: killed")
+			})
+			if sr != nil || err == nil || err != ctx.Err() {
+				t.Fatalf("got %v, %v; want ctx.Err() = %v", sr, err, ctx.Err())
+			}
+		})
+	}
+}
+
+// TestShutdownRacesAccept starts coordinators over a complete
+// checkpoint, so each Wait shuts down at once, while workers dial in.
+// A connection accepted as shutdown begins must be closed, never
+// registered behind shutdown's wait for the handlers; under -race the
+// parent of the closing flag reported that WaitGroup misuse.
+func TestShutdownRacesAccept(t *testing.T) {
+	spec := testSpec()
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 2, EvalWorkers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for range 200 {
+		coord, err := Start(CoordinatorConfig{Spec: spec, Dir: dir}, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dialers sync.WaitGroup
+		for range 8 {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				if conn, err := net.Dial("tcp", coord.Addr()); err == nil {
+					conn.Close()
+				}
+			}()
+		}
+		if _, err := coord.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		dialers.Wait()
 	}
 }
 

@@ -34,6 +34,9 @@
 // (spawns N local worker processes and merges), fleetsim -worker
 // -connect addr (a bare worker loop for multi-host use), and the
 // slscostd daemon's opt.distsweep namespace (method.go), which runs
-// the coordinator with in-process workers and emits the same sweep
-// document opt.sweep does.
+// the coordinator with in-process workers (Local) and emits the same
+// sweep document opt.sweep does. The two that start their own workers
+// do so through Coordinator.Run, the one place that decides when a
+// run with dead workers is over, and fleetsim's -verify checks the
+// merged result through Verify.
 package distsweep

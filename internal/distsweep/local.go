@@ -1,12 +1,14 @@
 package distsweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"time"
 
+	"slscost/internal/api"
 	"slscost/internal/opt"
 )
 
@@ -33,9 +35,9 @@ type LocalConfig struct {
 
 // Local runs a complete distributed sweep inside one process: a
 // coordinator on an ephemeral localhost port plus N in-process
-// workers. It is the daemon's opt.distsweep engine and the reference
-// harness for the byte-identity tests; fleetsim -distribute spawns
-// real worker processes instead.
+// workers, run by Coordinator.Run. It is the daemon's opt.distsweep
+// engine and the reference harness for the byte-identity tests;
+// fleetsim -distribute runs worker processes through the same Run.
 func Local(ctx context.Context, lcfg LocalConfig) (*opt.SweepResult, error) {
 	n := lcfg.Workers
 	if n <= 0 {
@@ -60,97 +62,37 @@ func Local(ctx context.Context, lcfg LocalConfig) (*opt.SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	wctx, cancelWorkers := context.WithCancel(ctx)
-	defer cancelWorkers()
-	workerErrs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			workerErrs <- RunWorker(wctx, WorkerConfig{
-				Addr:    coord.Addr(),
-				Workers: lcfg.EvalWorkers,
-			})
-		}()
-	}
-
-	// The coordinator waits on its own cancellable context so that
-	// "every worker failed" can abort a run the parent ctx would let
-	// hang forever.
-	cctx, cancelCoord := context.WithCancel(ctx)
-	defer cancelCoord()
-	type waitResult struct {
-		sr  *opt.SweepResult
-		err error
-	}
-	waitCh := make(chan waitResult, 1)
-	go func() {
-		sr, err := coord.Wait(cctx)
-		waitCh <- waitResult{sr, err}
-	}()
-
-	var workerErr error
-	failed := 0
-	for {
-		select {
-		case r := <-waitCh:
-			cancelWorkers()
-			if r.err != nil && workerErr != nil && errors.Is(r.err, context.Canceled) {
-				// The abort above cancelled the coordinator; the
-				// worker failure is the real story.
-				return nil, workerErr
-			}
-			return r.sr, r.err
-		case err := <-workerErrs:
-			if err != nil && !errors.Is(err, context.Canceled) {
-				failed++
-				if workerErr == nil {
-					workerErr = err
-				}
-				if failed == n {
-					// Nobody is left to compute; unblock the
-					// coordinator and surface the first failure.
-					cancelCoord()
-				}
-			}
-		}
-	}
+	return coord.Run(ctx, n, func(ctx context.Context, addr string) error {
+		return RunWorker(ctx, WorkerConfig{Addr: addr, Workers: lcfg.EvalWorkers})
+	})
 }
 
-// LocalVerified runs Local and then the single-process opt.Sweep on
-// the same spec, failing with a diff summary if the two disagree —
-// the in-process analogue of fleetsim -distribute -verify.
-func LocalVerified(ctx context.Context, lcfg LocalConfig) (*opt.SweepResult, error) {
-	sr, err := Local(ctx, lcfg)
+// ErrDiverged marks Verify's mismatch: a distributed sweep whose
+// document differs from the single-process run's.
+var ErrDiverged = errors.New("distsweep: distributed sweep document differs from the single-process run")
+
+// Verify runs the single-process opt.Sweep on spec and fails with
+// ErrDiverged unless its sweep document is byte-identical to sr's. It
+// is the check behind fleetsim -distribute -verify.
+func Verify(ctx context.Context, spec Spec, sr *opt.SweepResult) error {
+	cfg, space, err := spec.Configs()
 	if err != nil {
-		return nil, err
-	}
-	cfg, space, err := lcfg.Spec.Configs()
-	if err != nil {
-		return nil, err
+		return err
 	}
 	ref, err := opt.Sweep(ctx, cfg, space)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := verifyEqual(sr, ref); err != nil {
-		return nil, err
-	}
-	return sr, nil
-}
-
-// verifyEqual compares the full rendered sweep documents, the same
-// bytes the CLI and daemon emit.
-func verifyEqual(got, want *opt.SweepResult) error {
-	gb, err := sweepDocBytes(got)
+	got, err := api.SweepDoc(sr)
 	if err != nil {
 		return err
 	}
-	wb, err := sweepDocBytes(want)
+	want, err := api.SweepDoc(ref)
 	if err != nil {
 		return err
 	}
-	if string(gb) != string(wb) {
-		return fmt.Errorf("distsweep: verify failed: distributed sweep document differs from single-process run (%d vs %d bytes)", len(gb), len(wb))
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("%w (%d vs %d bytes)", ErrDiverged, len(got), len(want))
 	}
 	return nil
 }

@@ -1,15 +1,11 @@
 package distsweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 
 	"slscost/internal/api"
-	"slscost/internal/opt"
 )
 
 // Params is the opt.distsweep job spec: every field opt.sweep
@@ -42,20 +38,13 @@ func Method() api.Method {
 // identity is exactly what the package tests gate on).
 func runJob(ctx context.Context, rt *api.Runtime, params json.RawMessage) error {
 	var p Params
-	if err := decodeParams(params, &p); err != nil {
+	if err := api.DecodeParams(params, &p); err != nil {
 		return err
 	}
-	dir, err := os.MkdirTemp("", "distsweep-job-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
 	var mu sync.Mutex
 	completed := 0
 	sr, err := Local(ctx, LocalConfig{
 		Spec:    Spec{Sweep: p.SweepParams, Seed: rt.Seed},
-		Dir:     dir,
 		Workers: p.Workers,
 		Shards:  p.Shards,
 		Trace: func(event string, shard, index int) {
@@ -72,42 +61,9 @@ func runJob(ctx context.Context, rt *api.Runtime, params json.RawMessage) error 
 	if err != nil {
 		return err
 	}
-	pretty, err := sweepDocBytes(sr)
+	doc, err := api.SweepDoc(sr)
 	if err != nil {
 		return err
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, pretty); err != nil {
-		return err
-	}
-	return rt.Emit(api.Event{Type: api.EventSweep, Sweep: compact.Bytes()})
-}
-
-// decodeParams strictly parses a job spec's params, mirroring the
-// api package's decoder: unknown fields and trailing data are
-// errors.
-func decodeParams(raw json.RawMessage, dst any) error {
-	if len(raw) == 0 {
-		raw = []byte("{}")
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("distsweep: bad params: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("distsweep: trailing data after params")
-	}
-	return nil
-}
-
-// sweepDocBytes renders the sweep as the indented JSON document
-// fleetsim -sweep -format json writes — the byte-identity reference
-// for verification.
-func sweepDocBytes(sr *opt.SweepResult) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := sr.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return rt.Emit(api.Event{Type: api.EventSweep, Sweep: doc})
 }

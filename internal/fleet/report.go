@@ -24,7 +24,8 @@ type Report struct {
 	Platform string
 	Policy   string
 	// Scenario names the workload scenario the trace was synthesized
-	// from (SimulateScenario sets it; empty for raw traces).
+	// from. The simulator leaves it empty; a caller that replays a
+	// scenario's source sets it.
 	Scenario string
 	Hosts    int
 	// Workers is the worker-pool size that ran the simulation. It never

@@ -4,29 +4,12 @@ import (
 	"context"
 	"time"
 
-	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
 
-// This file is the scenario-driven replay surface: Simulate fed by the
-// internal/scenario engine instead of a raw trace, plus the exported
-// placement/seeding hooks the differential verification harness
-// (internal/scenario/diffsim) replays hosts independently from.
-
-// SimulateScenario synthesizes sc's trace under scfg and replays it
-// through Simulate, labeling the report with the scenario name: the
-// report SimulateScenarioStream returns, plus the synthesized trace,
-// so callers can reuse it (CSV export, differential verification)
-// without paying for a second synthesis.
-func SimulateScenario(cfg Config, sc scenario.Scenario, scfg scenario.Config) (Report, *trace.Trace, error) {
-	tr, err := sc.Trace(scfg)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	rep, err := Simulate(cfg, tr)
-	rep.Scenario = sc.Name
-	return rep, tr, err
-}
+// This file holds the exported placement and seeding hooks the
+// differential verification harness (internal/scenario/diffsim)
+// replays hosts independently from.
 
 // PodAssignment is one pod's placement outcome, exposed for the
 // differential harness: the trace request indices the pod serves (in

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"slscost/internal/core"
@@ -27,44 +28,18 @@ func testFleetConfig(t *testing.T) Config {
 	}
 }
 
-func TestSimulateScenarioLabelsAndMatchesDirectReplay(t *testing.T) {
-	sc, ok := scenario.ByName("bursty")
-	if !ok {
-		t.Fatal("bursty scenario missing")
-	}
-	scfg := scenarioConfig(4000)
-	rep, tr, err := SimulateScenario(testFleetConfig(t), sc, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scenario != "bursty" {
-		t.Errorf("report scenario %q", rep.Scenario)
-	}
-	if tr == nil || tr.Len() != 4000 {
-		t.Fatalf("returned trace has %d requests", tr.Len())
-	}
-	// Simulating the returned trace directly must reproduce the report
-	// (modulo the label): SimulateScenario adds synthesis, nothing else.
-	direct, err := Simulate(testFleetConfig(t), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.Scenario = rep.Scenario
-	direct.Workers = rep.Workers
-	if direct != rep {
-		t.Errorf("SimulateScenario diverges from direct Simulate:\n%+v\nvs\n%+v", rep, direct)
-	}
-}
-
+// TestSimulateScenarioPropagatesErrors replays a scenario source whose
+// opening fails, and a valid one under an invalid configuration; both
+// must fail the replay.
 func TestSimulateScenarioPropagatesErrors(t *testing.T) {
 	sc := scenario.Scenario{Name: "broken"} // no shape, no tenants
-	if _, _, err := SimulateScenario(testFleetConfig(t), sc, scenarioConfig(100)); err == nil {
+	if _, err := SimulateStream(context.Background(), testFleetConfig(t), sc.Source(scenarioConfig(100))); err == nil {
 		t.Fatal("expected synthesis error")
 	}
 	good, _ := scenario.ByName("steady")
 	bad := testFleetConfig(t)
 	bad.Hosts = 0
-	if _, _, err := SimulateScenario(bad, good, scenarioConfig(100)); err == nil {
+	if _, err := SimulateStream(context.Background(), bad, good.Source(scenarioConfig(100))); err == nil {
 		t.Fatal("expected config error")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
 
@@ -556,30 +555,4 @@ func unknownPod(id int) error {
 
 func countChanged(total, seen int) error {
 	return fmt.Errorf("fleet: stream changed between passes (%d requests, then %d)", total, seen)
-}
-
-// SimulateScenarioStream replays sc's workload under scfg: the
-// scenario's trace is synthesized lazily and consumed by
-// SimulateStream, so the workload never materializes. SimulateScenario
-// is the same replay over the collected trace. Cancellation follows
-// SimulateStream's contract: ctx.Err() returns promptly.
-func SimulateScenarioStream(ctx context.Context, cfg Config, sc scenario.Scenario, scfg scenario.Config) (Report, error) {
-	rep, err := SimulateStream(ctx, cfg, sc.Source(scfg))
-	rep.Scenario = sc.Name
-	return rep, err
-}
-
-// SimulatePlanStream replays a pre-compiled scenario plan
-// (scenario.Scenario.Compile). It is SimulateScenarioStream minus the
-// per-call tenant resolution and calibration sweep — the variant the
-// daemon's plan cache and the optimizer's per-sweep compilation reuse —
-// and produces the byte-identical report, because a plan's Source
-// openings are identical to the scenario's own.
-func SimulatePlanStream(ctx context.Context, cfg Config, plan *scenario.Plan) (Report, error) {
-	if plan == nil {
-		return Report{}, fmt.Errorf("fleet: nil scenario plan")
-	}
-	rep, err := SimulateStream(ctx, cfg, plan.Source())
-	rep.Scenario = plan.Name()
-	return rep, err
 }

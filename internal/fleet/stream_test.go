@@ -45,9 +45,10 @@ func renderReport(rep Report) string {
 	return buf.String()
 }
 
-// TestSimulateStreamMatchesSimulate pins that SimulateScenario stays a
-// view of the streaming pipeline: for every catalog scenario, its
-// report is byte-identical (WriteText) to SimulateScenarioStream's.
+// TestSimulateStreamMatchesSimulate pins that Simulate over a
+// scenario's collected trace stays a view of the streaming pipeline:
+// for every catalog scenario, its report is byte-identical (WriteText)
+// to SimulateStream's over the scenario's source.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	for _, sc := range scenario.Catalog() {
 		sc := sc
@@ -55,11 +56,15 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 			scfg := scenario.DefaultConfig()
 			scfg.Base.Requests = 4000
 
-			rep, _, err := SimulateScenario(streamTestConfig(t, "least-loaded", 2), sc, scfg)
+			tr, err := sc.Trace(scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srep, err := SimulateScenarioStream(context.Background(), streamTestConfig(t, "least-loaded", 2), sc, scfg)
+			rep, err := Simulate(streamTestConfig(t, "least-loaded", 2), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srep, err := SimulateStream(context.Background(), streamTestConfig(t, "least-loaded", 2), sc.Source(scfg))
 			if err != nil {
 				t.Fatal(err)
 			}

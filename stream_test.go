@@ -109,8 +109,9 @@ func TestStreamBoundedMemory(t *testing.T) {
 // the streaming pipeline at the scale the benchmarks run, where a
 // second implementation would drift first (float sums over a million
 // durations move the last bits): trace.Generate equals the collected
-// GenerateStream, and fleet.SimulateScenario's report marshals to the
-// same JSON as SimulateScenarioStream's, at 1M requests.
+// GenerateStream, and fleet.Simulate over a scenario's collected trace
+// marshals to the same JSON as fleet.SimulateStream over its source,
+// at 1M requests.
 func TestMaterializedEqualsStreamAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-request traces; skipped in -short")
@@ -150,11 +151,16 @@ func TestMaterializedEqualsStreamAtScale(t *testing.T) {
 		t.Fatal("no steady scenario")
 	}
 	scfg := scenario.Config{Base: gen, Tenants: 1}
-	mat, _, err := fleet.SimulateScenario(cfg, sc, scfg)
+	tr, err := sc.Trace(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := fleet.SimulateScenarioStream(context.Background(), cfg, sc, scfg)
+	mat, err := fleet.Simulate(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr = nil
+	streamed, err := fleet.SimulateStream(context.Background(), cfg, sc.Source(scfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestMaterializedEqualsStreamAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Errorf("SimulateScenario and SimulateScenarioStream reports differ at %d requests:\n%s\nvs\n%s", requests, a, b)
+		t.Errorf("Simulate over the collected trace and SimulateStream reports differ at %d requests:\n%s\nvs\n%s", requests, a, b)
 	}
 }
 
