@@ -349,17 +349,25 @@ func BenchmarkScenarioTrace(b *testing.B) {
 
 // Micro-benchmarks of the hot paths behind the experiments.
 
+// BenchmarkBillInvocation measures one request billed the way a fleet
+// host bills it: the model compiled into a tariff and the flavor
+// resolved once, then Equation (1) per request.
 func BenchmarkBillInvocation(b *testing.B) {
-	inv := billing.Invocation{
-		Duration:   120 * time.Millisecond,
-		AllocCPU:   0.5,
-		AllocMemGB: 1,
-		CPUTime:    80 * time.Millisecond,
-		MemUsedGB:  0.4,
+	t := billing.Compile(billing.AWSLambda)
+	f := t.Flavor(0.5, 1024)
+	u := billing.Usage{
+		Duration:  120 * time.Millisecond,
+		CPUTime:   80 * time.Millisecond,
+		MemUsedGB: 0.4,
 	}
+	var total float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = billing.AWSLambda.Bill(inv)
+		u.Duration += time.Microsecond
+		total += t.Charge(&f, u).Total()
+	}
+	if total <= 0 {
+		b.Fatal("billed nothing")
 	}
 }
 

@@ -24,30 +24,26 @@ import (
 //   - Cloudflare runs in fixed 128 MB sandboxes and bills consumed CPU.
 //   - Other platforms adopt the recorded allocation directly.
 func MapRequest(m Model, r trace.Request) Invocation {
-	inv := Invocation{
+	cpu, memGB := mappingFor(m.Platform).apply(r.AllocCPU, r.AllocMemMB)
+	return Invocation{
 		Duration:     r.Duration,
 		InitDuration: r.InitDuration,
-		AllocCPU:     r.AllocCPU,
-		AllocMemGB:   r.AllocMemMB / 1024,
+		AllocCPU:     cpu,
+		AllocMemGB:   memGB,
 		CPUTime:      r.CPUTime,
 		MemUsedGB:    r.MemUsedMB / 1024,
 	}
-	switch m.Platform {
-	case AWSLambdaName, VercelName, AzureFlexName:
-		memMB := r.AllocMemMB
-		if implied := r.AllocCPU * AWSMemPerVCPUMB; implied > memMB {
-			memMB = implied
-		}
-		inv.AllocMemGB = memMB / 1024
-		inv.AllocCPU = ProportionalCPU(memMB)
-	case AzureConsName:
-		inv.AllocCPU = 1
-		inv.AllocMemGB = 1.5
-	case CloudflareName:
-		inv.AllocCPU = 1
-		inv.AllocMemGB = MBToGB(128)
+}
+
+// RequestUsage is the billable usage of one trace record as recorded:
+// its execution and initialization times and its consumption.
+func RequestUsage(r *trace.Request) Usage {
+	return Usage{
+		Duration:     r.Duration,
+		InitDuration: r.InitDuration,
+		CPUTime:      r.CPUTime,
+		MemUsedGB:    r.MemUsedMB / 1024,
 	}
-	return inv
 }
 
 // InflationResult is the Figure 2 output for one billing model: billable
@@ -98,17 +94,20 @@ func AnalyzeInflation(tr *trace.Trace, models []Model) []InflationResult {
 	for _, m := range models {
 		res := InflationResult{Model: m.Platform}
 		var billedCPU, actualCPU, billedMem, actualMem []float64
-		for _, r := range tr.Requests {
-			inv := MapRequest(m, r)
-			ch := m.Bill(inv)
-			if billsCPU(m) {
+		t := Compile(m)
+		cpu, mem := billsCPU(m), billsMem(m)
+		for i := range tr.Requests {
+			r := &tr.Requests[i]
+			f := t.Flavor(r.AllocCPU, r.AllocMemMB)
+			ch := t.Charge(&f, RequestUsage(r))
+			if cpu {
 				res.BillableCPUSeconds = append(res.BillableCPUSeconds, ch.CPUSeconds)
 				if actual := r.ActualCPUSeconds(); actual > 0 {
 					billedCPU = append(billedCPU, ch.CPUSeconds)
 					actualCPU = append(actualCPU, actual)
 				}
 			}
-			if billsMem(m) {
+			if mem {
 				res.BillableMemGBSeconds = append(res.BillableMemGBSeconds, ch.MemGBSeconds)
 				if actual := r.ActualMemGBSeconds(); actual > 0 {
 					billedMem = append(billedMem, ch.MemGBSeconds)
@@ -219,23 +218,28 @@ type TimePolicy struct {
 // granularity (in GB; 0 disables the memory analysis), considering only
 // requests of at least minDuration (the paper filters to ≥1 ms).
 func AnalyzeRounding(tr *trace.Trace, pol TimePolicy, memGranGB float64, minDuration time.Duration) RoundingInflation {
+	// The policy is an execution-time tariff that bills consumed memory
+	// per second at the memory granularity.
+	t := Compile(Model{
+		Platform:        pol.Name,
+		Basis:           ExecutionTime,
+		TimeGranularity: pol.Granularity,
+		MinBillableTime: pol.MinCutoff,
+		Rules:           []Rule{{Resource: Memory, Source: FromUsage, Granularity: memGranGB, PerDuration: true}},
+	})
+	var f Flavor // the tariff bills no allocation
 	var out RoundingInflation
-	for _, r := range tr.Requests {
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
 		if r.Duration < minDuration {
 			continue
 		}
-		raw := r.Duration
-		billed := raw
-		if billed < pol.MinCutoff {
-			billed = pol.MinCutoff
-		}
-		billed = roundUpDur(billed, pol.Granularity)
+		ch := t.Charge(&f, Usage{Duration: r.Duration, MemUsedGB: r.MemUsedMB / 1024})
 		out.RoundedUpTimeMs = append(out.RoundedUpTimeMs,
-			float64(billed-raw)/float64(time.Millisecond))
+			float64(ch.BillableTime-r.Duration)/float64(time.Millisecond))
 		if memGranGB > 0 {
-			rawMem := r.MemUsedMB / 1024 * raw.Seconds()
-			billedMem := roundUpF(r.MemUsedMB/1024, memGranGB) * billed.Seconds()
-			out.RoundedUpMemGBSeconds = append(out.RoundedUpMemGBSeconds, billedMem-rawMem)
+			rawMem := r.MemUsedMB / 1024 * r.Duration.Seconds()
+			out.RoundedUpMemGBSeconds = append(out.RoundedUpMemGBSeconds, ch.MemGBSeconds-rawMem)
 		}
 	}
 	out.MeanRoundedUpTimeMs = stats.Mean(out.RoundedUpTimeMs)

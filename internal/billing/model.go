@@ -11,7 +11,6 @@ package billing
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -138,85 +137,27 @@ type Charge struct {
 // Total returns the total dollar cost of the invocation.
 func (c Charge) Total() float64 { return c.ResourceCost + c.Fee }
 
-// roundUpDur rounds d up to a multiple of gran (gran <= 0 keeps d).
-func roundUpDur(d, gran time.Duration) time.Duration {
-	if gran <= 0 || d <= 0 {
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	n := (d + gran - 1) / gran
-	return n * gran
-}
-
-// roundUpF rounds x up to a multiple of gran (gran <= 0 keeps x).
-func roundUpF(x, gran float64) float64 {
-	if gran <= 0 || x <= 0 {
-		return math.Max(x, 0)
-	}
-	return math.Ceil(x/gran-1e-9) * gran
-}
-
 // BillableTime returns the billable wall-clock time for inv under the
 // model's basis, granularity, and minimum cutoff.
 func (m Model) BillableTime(inv Invocation) time.Duration {
-	var t time.Duration
-	switch m.Basis {
-	case ExecutionTime:
-		t = inv.Duration
-	case TurnaroundTime:
-		t = inv.Duration + inv.InitDuration
-	case InstanceTime:
-		t = inv.InstanceLifespan
-		if turnaround := inv.Duration + inv.InitDuration; t < turnaround {
-			t = turnaround
-		}
-	}
-	if t < m.MinBillableTime {
-		t = m.MinBillableTime
-	}
-	return roundUpDur(t, m.TimeGranularity)
+	return m.timing().billable(inv.Duration, inv.InitDuration, inv.InstanceLifespan)
 }
 
-// Bill applies Equation (1) to one invocation.
+// Bill applies Equation (1) to one invocation, billing its allocation
+// as given (MapRequest applies the platform's mapping). It compiles the
+// model per call, and panics as Compile does on a model with more than
+// four rules; to bill many requests, Compile once and Charge each.
 func (m Model) Bill(inv Invocation) Charge {
-	bt := m.BillableTime(inv)
-	ch := Charge{BillableTime: bt, Fee: m.InvocationFee}
-	secs := bt.Seconds()
-	for _, r := range m.Rules {
-		var amount float64 // in resource units (vCPU or GB), or resource-seconds
-		switch r.Source {
-		case FromAllocation:
-			switch r.Resource {
-			case CPU:
-				amount = inv.AllocCPU
-			case Memory:
-				amount = inv.AllocMemGB
-			}
-			amount = roundUpF(amount, r.Granularity) * secs
-		case FromUsage:
-			switch r.Resource {
-			case CPU:
-				amount = inv.CPUTime.Seconds()
-			case Memory:
-				amount = inv.MemUsedGB
-			}
-			if r.PerDuration {
-				amount = roundUpF(amount, r.Granularity) * secs
-			} else {
-				amount = roundUpF(amount, r.Granularity)
-			}
-		}
-		switch r.Resource {
-		case CPU:
-			ch.CPUSeconds += amount
-		case Memory:
-			ch.MemGBSeconds += amount
-		}
-		ch.ResourceCost += amount * r.UnitPrice
-	}
-	return ch
+	var t Tariff
+	t.compile(&m)
+	f := t.flavor(inv.AllocCPU, inv.AllocMemGB)
+	return t.Charge(&f, Usage{
+		Duration:         inv.Duration,
+		InitDuration:     inv.InitDuration,
+		InstanceLifespan: inv.InstanceLifespan,
+		CPUTime:          inv.CPUTime,
+		MemUsedGB:        inv.MemUsedGB,
+	})
 }
 
 // PerSecondRate returns the dollars per second this model charges for a
@@ -268,6 +209,14 @@ func (m Model) Validate() error {
 	for i, r := range m.Rules {
 		if r.Resource != CPU && r.Resource != Memory {
 			return fmt.Errorf("billing: %s rule %d: unknown resource %q", m.Platform, i, r.Resource)
+		}
+		if r.Source != FromAllocation && r.Source != FromUsage {
+			return fmt.Errorf("billing: %s rule %d: unknown source %d", m.Platform, i, int(r.Source))
+		}
+		for j := range i {
+			if o := m.Rules[j]; o.Resource == r.Resource && o.Source == r.Source {
+				return fmt.Errorf("billing: %s rules %d and %d bill %s from the same source", m.Platform, j, i, r.Resource)
+			}
 		}
 		if r.UnitPrice < 0 || r.Granularity < 0 {
 			return fmt.Errorf("billing: %s rule %d: negative price or granularity", m.Platform, i)

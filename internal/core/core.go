@@ -244,9 +244,11 @@ func (a *Analyzer) AnalyzeTrace(tr *trace.Trace) (Report, error) {
 	var billedTime, initTime float64
 	cold := 0
 	var fracSum float64
-	for _, r := range tr.Requests {
-		inv := billing.MapRequest(p.Billing, r)
-		ch := p.Billing.Bill(inv)
+	tf := billing.Compile(p.Billing)
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
+		ch := tf.Charge(&f, billing.RequestUsage(r))
 		billedCPU += ch.CPUSeconds
 		billedMem += ch.MemGBSeconds
 		actualCPU += r.ActualCPUSeconds()
@@ -260,7 +262,7 @@ func (a *Analyzer) AnalyzeTrace(tr *trace.Trace) (Report, error) {
 				initTime += r.InitDuration.Seconds()
 			}
 		}
-		fracSum += minF(inv.AllocCPU, 1)
+		fracSum += minF(f.AllocCPU, 1)
 	}
 	bl := &rep.Billing
 	bl.BilledCPUSeconds, bl.ActualCPUSeconds = billedCPU, actualCPU

@@ -64,25 +64,24 @@ func TestFaultedHostIdleHeldExactlyZero(t *testing.T) {
 					cfg := testConfig(t, "least-loaded")
 					cfg.Profile = core.Azure()
 					cfg.Faults = plan
-					s := newHostSim(cfg, 0)
-					s.seedFaults(0) // before the clock first runs, as the stream path does
-					var fed []*pod
 					var reqs []trace.Request
 					now := time.Duration(0)
 					for i := 0; i < pods; i++ {
 						vcpu := sizes[rng.Intn(len(sizes))]
-						p := testPod(rng.Intn(11), vcpu, time.Duration(10+rng.Intn(90))*time.Millisecond)
-						r := trace.Request{
-							FnID: p.fnID, PodID: i, Start: now,
+						fn := rng.Intn(11)
+						init := time.Duration(10+rng.Intn(90)) * time.Millisecond
+						reqs = append(reqs, trace.Request{
+							FnID: fn, PodID: i, Start: now,
 							Duration:  time.Duration(1+rng.Intn(400)) * time.Millisecond,
 							CPUTime:   time.Duration(rng.Intn(200)) * time.Millisecond,
 							MemUsedMB: 64, AllocCPU: vcpu, AllocMemMB: 128,
-							ColdStart: true, InitDuration: p.initMs,
-						}
-						fed = append(fed, p)
-						reqs = append(reqs, r)
+							ColdStart: true, InitDuration: init,
+						})
 						now += time.Duration(rng.Intn(20)) * time.Millisecond
 					}
+					hc, fed := testReplay(t, cfg, reqs)
+					s := newHostSim(hc, 0)
+					s.seedFaults(0) // before the clock first runs, as the stream path does
 					for i := range fed {
 						s.feed(fed[i], &reqs[i])
 					}
@@ -122,18 +121,18 @@ func TestEvictedSandboxNotWarmAfterRestart(t *testing.T) {
 	}
 	cfg := testConfig(t, "least-loaded")
 	cfg.Faults = plan
-	s := newHostSim(cfg, 0)
-	s.seedFaults(0)
-	p := testPod(0, 0.5, 50*time.Millisecond)
 	mk := func(start time.Duration) trace.Request {
 		return trace.Request{FnID: 0, PodID: 0, Start: start,
 			Duration: 100 * time.Millisecond, CPUTime: 50 * time.Millisecond,
 			MemUsedMB: 64, AllocCPU: 0.5, AllocMemMB: 128,
 			ColdStart: true, InitDuration: 50 * time.Millisecond}
 	}
-	r1, r2 := mk(1*time.Second), mk(3*time.Second)
-	s.feed(p, &r1)
-	s.feed(p, &r2) // runs the 2s crash first, then arrives at 3s
+	reqs := []trace.Request{mk(1 * time.Second), mk(3 * time.Second)}
+	hc, pods := testReplay(t, cfg, reqs)
+	s := newHostSim(hc, 0)
+	s.seedFaults(0)
+	s.feed(pods[0], &reqs[0])
+	s.feed(pods[1], &reqs[1]) // runs the 2s crash first, then arrives at 3s
 	res := s.finish()
 	if res.evicted != 1 {
 		t.Fatalf("evicted %d sandboxes, want the idle one killed at 2s", res.evicted)
@@ -158,14 +157,14 @@ func TestDeferredArrivalReplaysAtRecovery(t *testing.T) {
 	}
 	cfg := testConfig(t, "least-loaded")
 	cfg.Faults = plan
-	s := newHostSim(cfg, 0)
-	s.seedFaults(0)
-	p := testPod(0, 0.5, 50*time.Millisecond)
 	r := trace.Request{FnID: 0, PodID: 0, Start: 2100 * time.Millisecond,
 		Duration: 100 * time.Millisecond, CPUTime: 50 * time.Millisecond,
 		MemUsedMB: 64, AllocCPU: 0.5, AllocMemMB: 128,
 		ColdStart: true, InitDuration: 50 * time.Millisecond}
-	s.feed(p, &r)
+	hc, pods := testReplay(t, cfg, []trace.Request{r})
+	s := newHostSim(hc, 0)
+	s.seedFaults(0)
+	s.feed(pods[0], &r)
 	res := s.finish()
 	if res.deferredReqs != 1 || res.served != 1 {
 		t.Fatalf("deferred=%d served=%d, want 1 and 1", res.deferredReqs, res.served)

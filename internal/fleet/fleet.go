@@ -134,18 +134,22 @@ func (c Config) Validate() error {
 // reads. It is recorded once per source (podMetas) and shared
 // read-only by every configuration replaying that source
 // (SimulateGroup); placement reads the full trace.PodMeta before the
-// replay starts, and the replay does not keep it.
+// replay starts, and the replay does not keep it. The pod's function
+// and flavor are dense slots into the source's podTable, so a host
+// reaches its per-function counters and its configuration's billed
+// flavor amounts by index.
 type podMeta struct {
-	fnID   int
 	vcpu   float64
 	initMs time.Duration // cold-start init of the pod's first request
+	fnSlot int32         // index into podTable.fnIDs
+	flavor int32         // index into podTable.flavors
 }
 
 // pod is one configuration's view of a sandbox, the placement unit:
 // the shared metadata plus this configuration's placement decision and
 // live replay state. It is kept to 32 bytes because a group holds one
 // per pod per configuration; the live-instance counter of the pod's
-// function lives on the sandbox.
+// function lives on the host, reached through the sandbox.
 type pod struct {
 	*podMeta
 	sb   *sandbox // live sandbox during simulation (owned by the host's shard)
@@ -291,6 +295,10 @@ func placeAll(cfg Config, metas []trace.PodMeta, pods []pod) (view View, ps plac
 	}
 
 	var pending releaseHeap
+	// The policy sees the active prefix through one view: passed
+	// through the Policy interface, it escapes, so it is allocated
+	// once per pass, not once per pod.
+	var sub View
 
 	for i := range metas {
 		p := &metas[i]
@@ -340,7 +348,7 @@ func placeAll(cfg Config, metas []trace.PodMeta, pods []pod) (view View, ps plac
 			}
 		}
 
-		sub := View{Hosts: view.Hosts[:active]}
+		sub.Hosts = view.Hosts[:active]
 		idx := cfg.Policy.Place(&sub, p.VCPU, p.MemMB, rng)
 		if idx < 0 {
 			ps.rejected++

@@ -210,11 +210,11 @@ func TestSimulateGroupSharesOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := podMetas(metas)
-	a, b := place(cfgs[0], metas, shared), place(cfgs[1], metas, shared)
+	tab := podMetas(metas)
+	a, b := place(cfgs[0], metas, tab), place(cfgs[1], metas, tab)
 	placedApart := false
 	for i := range metas {
-		if a.pods[i].podMeta != &shared[i] || b.pods[i].podMeta != &shared[i] {
+		if a.pods[i].podMeta != &tab.pods[i] || b.pods[i].podMeta != &tab.pods[i] {
 			t.Fatalf("pod %d: the configurations do not share one podMeta", i)
 		}
 		placedApart = placedApart || a.pods[i].host != b.pods[i].host
@@ -292,8 +292,9 @@ func TestSimulateGroupConfigFailureIsItsOwn(t *testing.T) {
 // TestFaultFreeHostHasNoRecoveryHistogram pins the lazy recovery
 // histogram: a host that never defers an arrival never builds one.
 func TestFaultFreeHostHasNoRecoveryHistogram(t *testing.T) {
-	pods, reqs := rampPods(50, 0.5, time.Second)
-	s := newHostSim(testConfig(t, "least-loaded"), 0)
+	reqs := rampPods(50, 0.5, time.Second)
+	hc, pods := testReplay(t, testConfig(t, "least-loaded"), reqs)
+	s := newHostSim(hc, 0)
 	for i := range pods {
 		s.feed(pods[i], &reqs[i])
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sort"
 	"time"
 
 	"slscost/internal/billing"
@@ -124,6 +123,34 @@ type inflightRec struct {
 	timer simtime.Handle
 }
 
+// hostCfg is what one configuration's hosts read during the replay,
+// built once before its first host and shared read-only by all of
+// them: the configuration, its billing tariff with every flavor slot
+// of the source resolved, and the source's function slots. Nothing in
+// it depends on the host, so the per-request path reaches billing by
+// index instead of re-deriving it.
+type hostCfg struct {
+	Config
+	tariff  billing.Tariff
+	flavors []billing.Flavor // by podMeta.flavor
+	fnIDs   []int            // by podMeta.fnSlot
+}
+
+// newHostCfg compiles cfg's per-request accounting over tab's flavors
+// and function slots.
+func newHostCfg(cfg Config, tab *podTable) *hostCfg {
+	hc := &hostCfg{
+		Config:  cfg,
+		tariff:  billing.Compile(cfg.Profile.Billing),
+		flavors: make([]billing.Flavor, len(tab.flavors)),
+		fnIDs:   tab.fnIDs,
+	}
+	for i, f := range tab.flavors {
+		hc.flavors[i] = hc.tariff.Flavor(f.vcpu, f.memMB)
+	}
+	return hc
+}
+
 // sandbox is one live pod runtime on the host. Sandboxes are pooled:
 // expire returns them to the host's free list and cold starts reuse
 // them, so sandbox churn (the dominant lifecycle in keep-alive-heavy
@@ -133,8 +160,8 @@ type sandbox struct {
 	// fnCount is the host's live-instance counter for the pod's
 	// function, resolved at the cold start. Idle transitions draw their
 	// keep-alive window from it every request, so it is reached through
-	// the sandbox instead of a map lookup.
-	fnCount   *int
+	// the sandbox.
+	fnCount   *int32
 	idleTimer simtime.Handle
 	// lpos is the sandbox's index in the host's live list (O(1)
 	// swap-removal, mirroring inflightRec.pos). It and activeReqs are
@@ -150,25 +177,25 @@ type sandbox struct {
 
 // hostSim is the mutable state of one host shard.
 type hostSim struct {
-	cfg     Config
+	cfg     *hostCfg
 	hostIdx int
 	clock   *simtime.Clock
 	rng     *stats.Rand
 	res     hostResult
 
-	// deciders holds the per-function keep-alive deciders, allocated
-	// only when cfg.KeepAlive selects an adaptive mode; nil means the
-	// legacy static draw path, untouched. Each decider is seeded by
-	// keepalive.FunctionSeed(spec seed, hostIdx, fnID), so its stream
-	// depends on what it decides for, never on which worker runs the
-	// host.
-	deciders map[int]keepalive.Decider
+	// deciders holds the per-function keep-alive deciders by function
+	// slot, each built at its function's first idle on this host. The
+	// slice exists only when cfg.KeepAlive selects an adaptive mode;
+	// nil means the legacy static draw path, untouched. Each decider is
+	// seeded by keepalive.FunctionSeed(spec seed, hostIdx, fnID), so its
+	// stream depends on what it decides for, never on which worker runs
+	// the host.
+	deciders []keepalive.Decider
 
-	// fnInstances holds one live-sandbox counter per function; sandboxes
-	// cache the pointer (sandbox.fnCount) at their cold start so the
-	// per-event paths never touch the map. A counter parked at zero is
-	// equivalent to a missing key: both read back as zero instances.
-	fnInstances map[int]*int
+	// fnInstances holds one live-sandbox counter per function slot;
+	// sandboxes cache the pointer (sandbox.fnCount) at their cold
+	// start. The slice never grows, so the pointers stay valid.
+	fnInstances []int32
 	inFlight    float64 // vCPUs of executing requests
 	idleHeldCPU float64 // vCPUs held by idle sandboxes (Table 2)
 	idleCount   int     // idle sandboxes backing idleHeldCPU
@@ -233,16 +260,16 @@ func (s *hostSim) account(now time.Duration) {
 // layouts, so the shard's footprint does not depend on its request
 // count; the recovery histogram is built at the first deferred
 // arrival, so a host no fault touches never holds one.
-func newHostSim(cfg Config, hostIdx int) *hostSim {
+func newHostSim(hc *hostCfg, hostIdx int) *hostSim {
 	s := &hostSim{
-		cfg:         cfg,
+		cfg:         hc,
 		hostIdx:     hostIdx,
 		clock:       simtime.NewClock(),
-		rng:         stats.NewRand(mix(cfg.Seed, uint64(hostIdx)+1)),
-		fnInstances: make(map[int]*int),
+		rng:         stats.NewRand(mix(hc.Seed, uint64(hostIdx)+1)),
+		fnInstances: make([]int32, len(hc.fnIDs)),
 	}
-	if cfg.KeepAlive != nil && cfg.KeepAlive.Mode != keepalive.ModeStatic {
-		s.deciders = make(map[int]keepalive.Decider)
+	if hc.KeepAlive != nil && hc.KeepAlive.Mode != keepalive.ModeStatic {
+		s.deciders = make([]keepalive.Decider, len(hc.fnIDs))
 	}
 	s.res.latHist = stats.NewLogHist(LatencyHistConfig())
 	s.res.slowHist = stats.NewLogHist(SlowdownHistConfig())
@@ -303,19 +330,14 @@ func (s *hostSim) finish() hostResult {
 	s.account(s.clock.Now())
 	s.res.makespan = s.clock.Now()
 	s.probe()
-	if len(s.deciders) > 0 {
-		// Sum decider telemetry in function-ID order: the float fields
-		// must accumulate in a worker-count-independent order, and the
-		// map's iteration order is neither.
-		ids := make([]int, 0, len(s.deciders))
-		for id := range s.deciders {
-			ids = append(ids, id)
+	// Sum decider telemetry in function-ID order, which is slot order:
+	// the float fields must accumulate in a worker-count-independent
+	// order.
+	for _, d := range s.deciders {
+		if d != nil {
+			s.res.ka.Add(d.Stats())
+			s.res.kaFunctions++
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			s.res.ka.Add(s.deciders[id].Stats())
-		}
-		s.res.kaFunctions = len(ids)
 	}
 	return s.res
 }
@@ -326,16 +348,16 @@ func (s *hostSim) finish() hostResult {
 // (s.deciders non-nil).
 func (s *hostSim) podKA(p *pod) *podKA {
 	if p.ka == nil {
-		d := s.deciders[p.fnID]
+		d := s.deciders[p.fnSlot]
 		if d == nil {
 			spec := s.cfg.KeepAlive
 			var err error
-			d, err = spec.NewDecider(s.cfg.Profile.KeepAlive, keepalive.FunctionSeed(*spec.Seed, s.hostIdx, p.fnID))
+			d, err = spec.NewDecider(s.cfg.Profile.KeepAlive, keepalive.FunctionSeed(*spec.Seed, s.hostIdx, s.cfg.fnIDs[p.fnSlot]))
 			if err != nil {
 				// Unreachable: Config.Validate accepted the spec.
 				panic(err)
 			}
-			s.deciders[p.fnID] = d
+			s.deciders[p.fnSlot] = d
 		}
 		p.ka = &podKA{decider: d, idleFrom: -1}
 	}
@@ -446,7 +468,7 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 		ka.decider.ObserveIdle(now - ka.idleFrom)
 		ka.idleFrom = -1
 	}
-	ka := s.cfg.Profile.KeepAlive
+	ka := &s.cfg.Profile.KeepAlive
 
 	sb := p.sb
 	cold := false
@@ -469,11 +491,7 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 		p.sb = sb
 		sb.lpos = int32(len(s.live))
 		s.live = append(s.live, sb)
-		c := s.fnInstances[p.fnID]
-		if c == nil {
-			c = new(int)
-			s.fnInstances[p.fnID] = c
-		}
+		c := &s.fnInstances[p.fnSlot]
 		sb.fnCount = c
 		*c++
 		s.res.sandboxes++
@@ -540,14 +558,13 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 
 	// Bill what the platform observed: the contention-stretched wall
 	// clock, and this cluster's cold starts rather than the trace's.
-	billed := *r
-	billed.Duration = effective
-	billed.ColdStart = cold
-	billed.InitDuration = 0
+	// The pod's flavor was resolved under this configuration's tariff
+	// before the replay.
+	u := billing.Usage{Duration: effective, CPUTime: r.CPUTime, MemUsedGB: r.MemUsedMB / 1024}
 	if cold {
-		billed.InitDuration = init
+		u.InitDuration = init
 	}
-	ch := s.cfg.Profile.Billing.Bill(billing.MapRequest(s.cfg.Profile.Billing, billed))
+	ch := s.cfg.tariff.Charge(&s.cfg.flavors[p.flavor], u)
 	s.res.cost += ch.Total()
 	s.res.fees += ch.Fee
 	s.res.billedCPUSeconds += ch.CPUSeconds
@@ -587,20 +604,20 @@ func (s *hostSim) complete(now time.Duration, rec *inflightRec) {
 		s.res.evicted++
 		return
 	}
-	ka := s.cfg.Profile.KeepAlive
+	ka := &s.cfg.Profile.KeepAlive
 	sb.idle = true
 	s.idleCount++
 	s.idleHeldCPU += ka.IdleCPU(p.vcpu)
 	var window time.Duration
 	if s.deciders == nil {
-		window = ka.Window(s.rng, *sb.fnCount)
+		window = ka.Window(s.rng, int(*sb.fnCount))
 	} else {
 		// Adaptive modes: the per-function decider chooses the window
 		// (ignoring s.rng — the host stream is passed for the Static
 		// wrapper's benefit only) and the idle instant is remembered so
 		// the gap can be observed at the pod's next arrival.
 		pka := s.podKA(p)
-		window = pka.decider.Window(s.rng, *sb.fnCount)
+		window = pka.decider.Window(s.rng, int(*sb.fnCount))
 		pka.idleFrom = now
 	}
 	sb.idleTimer = s.clock.Schedule(now+window, s.expireFn, sb)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -10,22 +11,37 @@ import (
 	"slscost/internal/trace"
 )
 
-// testPod returns a pod over its own metadata, as the placement pass
-// builds pods over the shared podMetas.
-func testPod(fnID int, vcpu float64, init time.Duration) *pod {
-	return &pod{podMeta: &podMeta{fnID: fnID, vcpu: vcpu, initMs: init}}
+// testReplay builds what a replay builds for a host of cfg serving
+// reqs: the requests are scanned into pod metadata, the metadata into
+// the source's shared table, and cfg is compiled over it. pods[i] is
+// reqs[i]'s pod, placed on host 0.
+func testReplay(tb testing.TB, cfg Config, reqs []trace.Request) (*hostCfg, []*pod) {
+	tb.Helper()
+	metas, _, err := scanPodsSlow(context.Background(), trace.FromTrace(&trace.Trace{Requests: reqs}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab := podMetas(metas)
+	idx := buildPodIndex(metas)
+	all := make([]pod, len(metas))
+	for i := range all {
+		all[i] = pod{podMeta: &tab.pods[i]}
+	}
+	pods := make([]*pod, len(reqs))
+	for i := range reqs {
+		pods[i] = &all[idx.get(reqs[i].PodID)]
+	}
+	return newHostCfg(cfg, tab), pods
 }
 
 // rampPods builds n single-request pods whose arrivals form a monotone
 // demand ramp on one host: every request is still executing when the
 // next arrives, so each admission is a new peak-demand instant and
 // takes a fresh snapshot.
-func rampPods(n int, vcpu float64, dur time.Duration) ([]*pod, []trace.Request) {
-	pods := make([]*pod, n)
+func rampPods(n int, vcpu float64, dur time.Duration) []trace.Request {
 	reqs := make([]trace.Request, n)
-	for i := range pods {
+	for i := range reqs {
 		start := time.Duration(i) * time.Millisecond
-		pods[i] = testPod(i%7, vcpu, 50*time.Millisecond)
 		reqs[i] = trace.Request{
 			FnID: i % 7, PodID: i, Start: start,
 			Duration: dur, CPUTime: dur / 2,
@@ -33,7 +49,7 @@ func rampPods(n int, vcpu float64, dur time.Duration) ([]*pod, []trace.Request) 
 			ColdStart: true, InitDuration: 50 * time.Millisecond,
 		}
 	}
-	return pods, reqs
+	return reqs
 }
 
 // TestPeakSnapshotCapped pins the peak-demand snapshot's cap: on a
@@ -44,8 +60,9 @@ func rampPods(n int, vcpu float64, dur time.Duration) ([]*pod, []trace.Request) 
 // an uncapped copy.
 func TestPeakSnapshotCapped(t *testing.T) {
 	const n = 500
-	pods, reqs := rampPods(n, 0.5, time.Hour)
-	s := newHostSim(testConfig(t, "least-loaded"), 0)
+	reqs := rampPods(n, 0.5, time.Hour)
+	hc, pods := testReplay(t, testConfig(t, "least-loaded"), reqs)
+	s := newHostSim(hc, 0)
 	for i := range pods {
 		s.feed(pods[i], &reqs[i])
 		if got := len(s.peakTasks); got > MaxProbeTasks {
@@ -84,26 +101,25 @@ func TestDrainedHostIdleHeldExactlyZero(t *testing.T) {
 			// AWS freezes them (IdleCPU = 0) and would never drift.
 			cfg := testConfig(t, "least-loaded")
 			cfg.Profile = core.Azure()
-			s := newHostSim(cfg, 0)
-			var fed []*pod
 			var reqs []trace.Request
 			now := time.Duration(0)
 			for i := 0; i < pods; i++ {
 				vcpu := sizes[rng.Intn(len(sizes))]
-				p := testPod(rng.Intn(11), vcpu, time.Duration(10+rng.Intn(90))*time.Millisecond)
-				r := trace.Request{
-					FnID: p.fnID, PodID: i, Start: now,
+				fn := rng.Intn(11)
+				init := time.Duration(10+rng.Intn(90)) * time.Millisecond
+				reqs = append(reqs, trace.Request{
+					FnID: fn, PodID: i, Start: now,
 					Duration:  time.Duration(1+rng.Intn(400)) * time.Millisecond,
 					CPUTime:   time.Duration(rng.Intn(200)) * time.Millisecond,
 					MemUsedMB: 64, AllocCPU: vcpu, AllocMemMB: 128,
-					ColdStart: true, InitDuration: p.initMs,
-				}
-				fed = append(fed, p)
-				reqs = append(reqs, r)
+					ColdStart: true, InitDuration: init,
+				})
 				// Dense arrivals keep many sandboxes idle at once, so the
 				// accumulator sums long mixed-size chains before draining.
 				now += time.Duration(rng.Intn(20)) * time.Millisecond
 			}
+			hc, fed := testReplay(t, cfg, reqs)
+			s := newHostSim(hc, 0)
 			for i := range fed {
 				s.feed(fed[i], &reqs[i])
 			}
@@ -129,12 +145,12 @@ func TestDrainedHostIdleHeldExactlyZero(t *testing.T) {
 // ~200M snapshot entries).
 func BenchmarkPeakSnapshotRamp(b *testing.B) {
 	const n = 20_000
-	pods, reqs := rampPods(n, 0.5, 24*time.Hour)
-	cfg := testConfig(b, "least-loaded")
+	reqs := rampPods(n, 0.5, 24*time.Hour)
+	hc, pods := testReplay(b, testConfig(b, "least-loaded"), reqs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newHostSim(cfg, 0)
+		s := newHostSim(hc, 0)
 		for j := range pods {
 			s.feed(pods[j], &reqs[j])
 		}

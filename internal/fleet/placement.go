@@ -73,16 +73,28 @@ type randomPolicy struct{}
 func (randomPolicy) Name() string { return "random" }
 
 func (randomPolicy) Place(v *View, vcpu, memMB float64, rng *stats.Rand) int {
-	fit := make([]int, 0, len(v.Hosts))
-	for i, h := range v.Hosts {
+	n := 0
+	for _, h := range v.Hosts {
 		if h.Fits(vcpu, memMB) {
-			fit = append(fit, i)
+			n++
 		}
 	}
-	if len(fit) == 0 {
+	if n == 0 {
 		return -1
 	}
-	return fit[rng.Intn(len(fit))]
+	// Draw the k-th fitting host, then walk to it: the draw and the
+	// pick are those of indexing a list of the fitting hosts, without
+	// building one.
+	k := rng.Intn(n)
+	for i, h := range v.Hosts {
+		if h.Fits(vcpu, memMB) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("unreachable: fewer fitting hosts on the second walk")
 }
 
 // roundRobinPolicy cycles through hosts, skipping full ones.

@@ -158,6 +158,69 @@ func TestPolicyCharacteristics(t *testing.T) {
 	}
 }
 
+// TestPlacementAllocatesPerPass pins placement's allocations to the
+// pass, not the pod: the policy's view of the active hosts is built
+// once, and no policy allocates per call, so placing thousands of pods
+// costs a handful of allocations (the host loads, the placer's stream,
+// the view and the release heap's growth).
+func TestPlacementAllocatesPerPass(t *testing.T) {
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 20000
+	metas, _, err := scanPods(context.Background(), trace.GenerateStream(gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods := make([]pod, len(metas))
+	for _, name := range PolicyNames() {
+		policy, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Config{Hosts: 16, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 1}
+		allocs := testing.AllocsPerRun(3, func() { placeAll(c, metas, pods) })
+		if allocs > 64 {
+			t.Errorf("%s: placing %d pods allocated %.0f times, want a per-pass handful", name, len(metas), allocs)
+		}
+	}
+}
+
+// TestRandomPolicyMatchesFitList pins the random policy's choices to
+// the rule it replaced: list the hosts the flavor fits, draw one index
+// into the list. Over random views with masked, full and free hosts,
+// both consume one draw per placement and pick the same host.
+func TestRandomPolicyMatchesFitList(t *testing.T) {
+	fitList := func(v *View, vcpu, memMB float64, rng *stats.Rand) int {
+		var fit []int
+		for i, h := range v.Hosts {
+			if h.Fits(vcpu, memMB) {
+				fit = append(fit, i)
+			}
+		}
+		if len(fit) == 0 {
+			return -1
+		}
+		return fit[rng.Intn(len(fit))]
+	}
+	gen := stats.NewRand(11)
+	a, b := stats.NewRand(3), stats.NewRand(3)
+	rnd, _ := NewPolicy("random")
+	for trial := 0; trial < 2000; trial++ {
+		v := View{Hosts: make([]HostLoad, 1+gen.Intn(12))}
+		for i := range v.Hosts {
+			v.Hosts[i] = HostLoad{
+				Spec:           HostSpec{VCPU: 4, MemMB: 4096},
+				CommittedVCPU:  float64(gen.Intn(5)),
+				CommittedMemMB: float64(gen.Intn(5)) * 1024,
+				Unavailable:    gen.Intn(5) == 0,
+			}
+		}
+		vcpu, mem := float64(1+gen.Intn(2)), float64(512*(1+gen.Intn(4)))
+		if got, want := rnd.Place(&v, vcpu, mem, a), fitList(&v, vcpu, mem, b); got != want {
+			t.Fatalf("trial %d: random placed on %d, the fit list on %d", trial, got, want)
+		}
+	}
+}
+
 // TestBuildPodsGrouping checks the pods fleet.Place builds from a
 // trace: one assignment per pod of the request scan, in order of first
 // arrival, each listing exactly its own requests in arrival order,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -210,15 +211,62 @@ func scanSource(ctx context.Context, src trace.Source) ([]trace.PodMeta, int, po
 	return metas, total, buildPodIndex(metas), nil
 }
 
+// podTable is the replay's share of a source's scanned metadata,
+// recorded once per source (podMetas) and read by every configuration
+// replaying it: a podMeta per pod slot, the distinct flavors the pods'
+// flavor slots index, and the function IDs their function slots
+// index, in ascending order.
+type podTable struct {
+	pods    []podMeta
+	flavors []flavorKey
+	fnIDs   []int
+}
+
+// flavorKey is a pod flavor as the trace records it.
+type flavorKey struct{ vcpu, memMB float64 }
+
 // podMetas records the replay's share of the scanned metadata, slot
-// for slot, once per source: every configuration's pods point into it.
-func podMetas(metas []trace.PodMeta) []podMeta {
-	shared := make([]podMeta, len(metas))
+// for slot, once per source: every configuration's pods point into
+// it. Function slots ascend with function ID, so a host that walks
+// its per-function state by slot walks it in function-ID order.
+func podMetas(metas []trace.PodMeta) *podTable {
+	t := &podTable{pods: make([]podMeta, len(metas))}
+	fnSlot := make(map[int]int32)
+	for i := range metas {
+		if _, ok := fnSlot[metas[i].FnID]; !ok {
+			fnSlot[metas[i].FnID] = 0
+			t.fnIDs = append(t.fnIDs, metas[i].FnID)
+		}
+	}
+	slices.Sort(t.fnIDs)
+	for slot, id := range t.fnIDs {
+		fnSlot[id] = int32(slot)
+	}
+	// A function's pods usually share its flavor, so each function
+	// remembers its last pod's flavor slot and the map is consulted
+	// only when a pod's flavor differs from it.
+	lastFlavor := make([]int32, len(t.fnIDs))
+	for i := range lastFlavor {
+		lastFlavor[i] = -1
+	}
+	flavorSlot := make(map[flavorKey]int32)
 	for i := range metas {
 		m := &metas[i]
-		shared[i] = podMeta{fnID: m.FnID, vcpu: m.VCPU, initMs: m.Init}
+		fn := fnSlot[m.FnID]
+		k := flavorKey{m.VCPU, m.MemMB}
+		f := lastFlavor[fn]
+		if f < 0 || t.flavors[f] != k {
+			var ok bool
+			if f, ok = flavorSlot[k]; !ok {
+				f = int32(len(t.flavors))
+				flavorSlot[k] = f
+				t.flavors = append(t.flavors, k)
+			}
+			lastFlavor[fn] = f
+		}
+		t.pods[i] = podMeta{vcpu: m.VCPU, initMs: m.Init, fnSlot: fn, flavor: f}
 	}
-	return shared
+	return t
 }
 
 // placement is one configuration's pass-1 outcome: a pod per metadata
@@ -231,11 +279,11 @@ type placement struct {
 }
 
 // place runs cfg's placement pass over the scanned pods, building its
-// pods over shared, the podMetas of metas.
-func place(cfg Config, metas []trace.PodMeta, shared []podMeta) placement {
+// pods over tab, the podMetas of metas.
+func place(cfg Config, metas []trace.PodMeta, tab *podTable) placement {
 	pods := make([]pod, len(metas))
 	for i := range pods {
-		pods[i] = pod{podMeta: &shared[i], host: -1}
+		pods[i] = pod{podMeta: &tab.pods[i], host: -1}
 	}
 	_, ps := placeAll(cfg, metas, pods)
 	pl := placement{pods: pods, ps: ps}
@@ -291,7 +339,9 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 	if err != nil {
 		return Report{}, err
 	}
-	pl := place(cfg, metas, podMetas(metas))
+	tab := podMetas(metas)
+	pl := place(cfg, metas, tab)
+	hc := newHostCfg(cfg, tab)
 	results := make([]hostResult, cfg.Hosts)
 
 	// Pass 2: route the stream into per-shard bounded channels; workers
@@ -321,7 +371,7 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 					it := &batch[i]
 					sim := sims[it.p.host]
 					if sim == nil {
-						sim = newHostSim(cfg, it.p.host)
+						sim = newHostSim(hc, it.p.host)
 						sim.seedFaults(it.p.host)
 						sims[it.p.host] = sim
 					}
@@ -486,11 +536,13 @@ func replayGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Report
 	if err != nil {
 		return nil, nil, err
 	}
-	shared := podMetas(metas)
+	tab := podMetas(metas)
 	pls := make([]placement, len(cfgs))
+	hcs := make([]*hostCfg, len(cfgs))
 	sims := make([][]*hostSim, len(cfgs))
 	for k, cfg := range cfgs {
-		pls[k] = place(cfg, metas, shared)
+		pls[k] = place(cfg, metas, tab)
+		hcs[k] = newHostCfg(cfg, tab)
 		sims[k] = make([]*hostSim, cfg.Hosts)
 	}
 
@@ -521,7 +573,7 @@ func replayGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Report
 			}
 			sim := sims[k][p.host]
 			if sim == nil {
-				sim = newHostSim(cfgs[k], p.host)
+				sim = newHostSim(hcs[k], p.host)
 				sim.seedFaults(p.host)
 				sims[k][p.host] = sim
 			}

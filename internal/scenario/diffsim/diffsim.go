@@ -336,7 +336,8 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 		}
 	}
 
-	hosts, err := replayHosts(ctx, cfg, perHost, tr)
+	tf := billing.Compile(cfg.Profile.Billing)
+	hosts, err := replayHosts(ctx, cfg, &tf, perHost, tr)
 	if err != nil {
 		return Aggregate{}, err
 	}
@@ -432,7 +433,7 @@ const cancelCheckMask = 0x3ff
 // (zero means GOMAXPROCS), each taking the next unreplayed host. Hosts
 // share only read-only inputs, so each host's state is the same
 // whichever goroutine replayed it; the caller folds them in host order.
-func replayHosts(ctx context.Context, cfg fleet.Config, perHost [][]fleet.PodAssignment, tr *trace.Trace) ([]hostState, error) {
+func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, perHost [][]fleet.PodAssignment, tr *trace.Trace) ([]hostState, error) {
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -449,7 +450,7 @@ func replayHosts(ctx context.Context, cfg fleet.Config, perHost [][]fleet.PodAss
 				if hi >= len(out) || ctx.Err() != nil {
 					return
 				}
-				out[hi] = replayHost(ctx, cfg, hi, perHost[hi], tr)
+				out[hi] = replayHost(ctx, cfg, tf, hi, perHost[hi], tr)
 			}
 		}()
 	}
@@ -627,9 +628,11 @@ type hostState struct {
 // own decider per function from keepalive.FunctionSeed and feeds it
 // the identical observation/decision sequence, so every counter the
 // fleet reports is re-derived by an independent instance of the same
-// state machine. When ctx is cancelled the sweep stops early and the
-// tally is partial; the caller discards it.
-func replayHost(ctx context.Context, cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *trace.Trace) hostState {
+// state machine. Requests are billed through tf, cfg's compiled
+// tariff, at each request's own recorded flavor. When ctx is cancelled
+// the sweep stops early and the tally is partial; the caller discards
+// it.
+func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostIdx int, pods []fleet.PodAssignment, tr *trace.Trace) hostState {
 	var h hostState
 	if len(pods) == 0 {
 		return h
@@ -791,14 +794,12 @@ func replayHost(ctx context.Context, cfg fleet.Config, hostIdx int, pods []fleet
 		latency := cfg.Profile.ServingOverhead + init + effective
 		h.lat.Observe(float64(latency) * 1e-6)
 
-		billed := *r
-		billed.Duration = effective
-		billed.ColdStart = cold
-		billed.InitDuration = 0
+		u := billing.Usage{Duration: effective, CPUTime: r.CPUTime, MemUsedGB: r.MemUsedMB / 1024}
 		if cold {
-			billed.InitDuration = init
+			u.InitDuration = init
 		}
-		ch := cfg.Profile.Billing.Bill(billing.MapRequest(cfg.Profile.Billing, billed))
+		f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
+		ch := tf.Charge(&f, u)
 		h.cost += ch.Total()
 		h.fees += ch.Fee
 		h.billedCPUSeconds += ch.CPUSeconds

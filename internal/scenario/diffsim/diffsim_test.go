@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"slscost/internal/billing"
 	"slscost/internal/core"
 	"slscost/internal/fleet"
 	"slscost/internal/keepalive"
@@ -308,13 +309,14 @@ func TestReplayHostPollsContext(t *testing.T) {
 			host0 = append(host0, p)
 		}
 	}
-	full := replayHost(context.Background(), cfg, 0, host0, tr)
+	tf := billing.Compile(cfg.Profile.Billing)
+	full := replayHost(context.Background(), cfg, &tf, 0, host0, tr)
 	if full.served <= 2*(cancelCheckMask+1) {
 		t.Fatalf("host 0 served %d requests, too few to cut between polls", full.served)
 	}
 	// The first poll (event 0) passes, the second (event mask+1)
 	// cancels.
-	cut := replayHost(&cancelAfter{Context: context.Background(), n: 2}, cfg, 0, host0, tr)
+	cut := replayHost(&cancelAfter{Context: context.Background(), n: 2}, cfg, &tf, 0, host0, tr)
 	if cut.served > cancelCheckMask+1 {
 		t.Fatalf("cancelled host served %d of %d requests, want at most %d", cut.served, full.served, cancelCheckMask+1)
 	}

@@ -31,35 +31,54 @@ type OverheadResult struct {
 // and measures n provider-reported execution durations, after warming the
 // path with a few unrecorded requests.
 func MeasureOverhead(inv Invoker, n int) (OverheadResult, error) {
-	res := OverheadResult{Architecture: inv.Architecture()}
+	res, err := measureInterleaved([]Invoker{inv}, n)
+	if err != nil {
+		return OverheadResult{Architecture: inv.Architecture()}, err
+	}
+	return res[0], nil
+}
+
+// measureInterleaved warms every invoker, then takes n samples from
+// each, sample i from every invoker in turn. Interleaving makes a burst
+// of load from elsewhere on the machine land on every invoker alike,
+// where sequential blocks of samples would charge it to one of them.
+func measureInterleaved(invs []Invoker, n int) ([]OverheadResult, error) {
 	if n <= 0 {
 		n = 100
 	}
 	ctx := context.Background()
-	for i := 0; i < 5; i++ { // warm-up: connections, caches, pools
-		if _, err := inv.Invoke(ctx, []byte(`{}`)); err != nil {
-			return res, fmt.Errorf("serving: warm-up: %w", err)
+	out := make([]OverheadResult, len(invs))
+	for k, inv := range invs {
+		for i := 0; i < 5; i++ { // warm-up: connections, caches, pools
+			if _, err := inv.Invoke(ctx, []byte(`{}`)); err != nil {
+				return nil, fmt.Errorf("serving: %s warm-up: %w", inv.Architecture(), err)
+			}
 		}
+		out[k] = OverheadResult{Architecture: inv.Architecture(), Samples: make([]float64, 0, n)}
 	}
-	res.Samples = make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		r, err := inv.Invoke(ctx, []byte(`{}`))
-		if err != nil {
-			return res, fmt.Errorf("serving: probe %d: %w", i, err)
+		for k, inv := range invs {
+			r, err := inv.Invoke(ctx, []byte(`{}`))
+			if err == nil {
+				err = r.Err
+			}
+			if err != nil {
+				return nil, fmt.Errorf("serving: %s probe %d: %w", inv.Architecture(), i, err)
+			}
+			out[k].Samples = append(out[k].Samples, float64(r.Duration)/float64(time.Millisecond))
 		}
-		if r.Err != nil {
-			return res, fmt.Errorf("serving: probe %d: %w", i, r.Err)
-		}
-		res.Samples = append(res.Samples, float64(r.Duration)/float64(time.Millisecond))
 	}
-	res.Mean = stats.Mean(res.Samples)
-	res.P95 = stats.Percentile(res.Samples, 95)
-	return res, nil
+	for k := range out {
+		out[k].Mean = stats.Mean(out[k].Samples)
+		out[k].P95 = stats.Percentile(out[k].Samples, 95)
+	}
+	return out, nil
 }
 
 // CompareArchitectures runs the Figure 8 probe across all three
-// architectures with n samples each and returns the results in the
-// figure's order (polling, HTTP server, direct execution).
+// architectures with n samples each, interleaved, and returns the
+// results in the figure's order (polling, HTTP server, direct
+// execution).
 func CompareArchitectures(n int) ([]OverheadResult, error) {
 	polling, err := DeployPolling(MinimalHandler)
 	if err != nil {
@@ -76,14 +95,5 @@ func CompareArchitectures(n int) ([]OverheadResult, error) {
 		return nil, err
 	}
 	defer direct.Close()
-
-	var out []OverheadResult
-	for _, inv := range []Invoker{polling, httpDep, direct} {
-		r, err := MeasureOverhead(inv, n)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", inv.Architecture(), err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return measureInterleaved([]Invoker{polling, httpDep, direct}, n)
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // This file is the merge-exact histogram primitive behind the cluster
@@ -52,20 +53,21 @@ func (c LogHistConfig) Validate() error {
 // Bucket maps an observation to its bucket index. Non-finite input is
 // clamped rather than propagated into the index arithmetic: NaN and
 // -Inf land in bucket 0 (a nominal observation), +Inf in the top
-// bucket. The index rule decomposes x/Origin into a power-of-two
+// bucket, and so does a finite value whose quotient x/Origin
+// overflows. The index rule decomposes x/Origin into a power-of-two
 // doubling (Frexp) plus a sub-doubling position against the geometric
-// edges Exp2(k/BucketsPerDoubling) — no log on the observe path.
-// LogHist.Observe applies the identical rule through a cached edge
-// table; this per-call form recomputes the edges and is for tests and
-// tools.
+// edges Exp2(k/BucketsPerDoubling) — no log on the observe path. This
+// per-call form recomputes the edges and is the reference
+// LogHist.Observe's table lookup must reproduce.
 func (c LogHistConfig) Bucket(x float64) int {
 	if math.IsNaN(x) || x <= c.Origin {
 		return 0
 	}
-	if math.IsInf(x, 1) {
+	q := x / c.Origin
+	if math.IsInf(q, 1) {
 		return c.Buckets - 1
 	}
-	m, e := math.Frexp(x / c.Origin)
+	m, e := math.Frexp(q)
 	m2 := m + m // x/Origin = m2 * 2^(e-1), m2 in [1, 2)
 	k := 0
 	for k+1 < c.BucketsPerDoubling && math.Exp2(float64(k+1)/float64(c.BucketsPerDoubling)) <= m2 {
@@ -84,15 +86,72 @@ func (c LogHistConfig) clampIdx(idx int) int {
 	return idx
 }
 
-// edges returns the sub-doubling bucket edges Exp2(k/BucketsPerDoubling)
-// for k = 0..BucketsPerDoubling-1 — the table Observe binary-searches
-// instead of taking a logarithm per observation.
-func (c LogHistConfig) edges() []float64 {
-	thr := make([]float64, c.BucketsPerDoubling)
-	for k := range thr {
-		thr[k] = math.Exp2(float64(k) / float64(c.BucketsPerDoubling))
+// bucketTable finds the sub-doubling bucket of a quotient's mantissa
+// for one BucketsPerDoubling value without a search. The mantissa's
+// top bits pick a cell narrower than the closest pair of edges, so a
+// cell holds at most one edge: the cell's base is the bucket at its
+// lower end, and one compare against the edge inside it (if any)
+// finishes the index. Tables are built once per BucketsPerDoubling
+// and shared read-only by every histogram that uses it.
+type bucketTable struct {
+	shift uint // mantissa bits below a cell index
+	cells []bucketCell
+}
+
+// bucketCell is one table cell: base is the sub-doubling bucket at the
+// cell's lower end, and edge the mantissa bits of the next edge (in
+// [1, 2)), or 1<<52 — above every mantissa — when no edge follows.
+type bucketCell struct {
+	edge uint64
+	base int
+}
+
+const mantBits = 52
+
+// newBucketTable builds the table for b buckets per doubling. Its
+// edges are the reference rule's Exp2(k/b) values, so both rules
+// compare a mantissa against the same floats.
+func newBucketTable(b int) *bucketTable {
+	edges := make([]uint64, b) // mantissa bits of Exp2(k/b), k = 0..b-1
+	for k := range edges {
+		edges[k] = math.Float64bits(math.Exp2(float64(k)/float64(b))) & (1<<mantBits - 1)
 	}
-	return thr
+	// A cell of 2^-cellBits is narrower than the narrowest gap between
+	// edges (the first, up to rounding).
+	gap := uint64(1 << mantBits)
+	for k := 1; k < b; k++ {
+		gap = min(gap, edges[k]-edges[k-1])
+	}
+	cellBits := uint(0)
+	for cellBits < mantBits && uint64(1)<<(mantBits-cellBits) >= gap {
+		cellBits++
+	}
+	t := &bucketTable{shift: mantBits - cellBits, cells: make([]bucketCell, 1<<cellBits)}
+	k := 0
+	for i := range t.cells {
+		lo := uint64(i) << t.shift
+		for k+1 < b && edges[k+1] <= lo {
+			k++
+		}
+		edge := uint64(1 << mantBits)
+		if k+1 < b {
+			edge = edges[k+1]
+		}
+		t.cells[i] = bucketCell{edge: edge, base: k}
+	}
+	return t
+}
+
+// bucketTables holds the process's tables, one per BucketsPerDoubling.
+var bucketTables sync.Map // int → *bucketTable
+
+// tableFor returns the shared table for b buckets per doubling.
+func tableFor(b int) *bucketTable {
+	if t, ok := bucketTables.Load(b); ok {
+		return t.(*bucketTable)
+	}
+	t, _ := bucketTables.LoadOrStore(b, newBucketTable(b))
+	return t.(*bucketTable)
 }
 
 // Value returns the observation a bucket reads back as: the Origin for
@@ -115,7 +174,7 @@ func (c LogHistConfig) Value(idx int) float64 {
 // The zero LogHist is not usable — construct with NewLogHist.
 type LogHist struct {
 	cfg LogHistConfig
-	thr []float64 // cached sub-doubling edges (cfg.edges())
+	tab *bucketTable // shared by every histogram with this BucketsPerDoubling
 	// counts[i] is bucket lo+i's count; buckets outside the window are
 	// empty. Nil until the first observation or merge.
 	lo     int
@@ -135,7 +194,7 @@ func NewLogHist(cfg LogHistConfig) *LogHist {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &LogHist{cfg: cfg, thr: cfg.edges()}
+	return &LogHist{cfg: cfg, tab: tableFor(cfg.BucketsPerDoubling)}
 }
 
 // windowSlack is the fewest spare buckets a grown window adds on each
@@ -203,28 +262,27 @@ func (h *LogHist) Observe(x float64) {
 	h.sumSq += v * v
 }
 
-// bucket is cfg.Bucket over the cached edge table: identical indices
-// (both walk the same Exp2 edges), but a Frexp plus a short binary
-// search instead of recomputing the edges per call.
+// bucket is cfg.Bucket through the shared table: the quotient's
+// exponent bits give the doubling, its top mantissa bits a table cell,
+// and at most one compare against the cell's edge the position within
+// the doubling — the same index as the reference's Frexp and edge
+// walk, since both compare the same mantissa against the same edges.
 func (h *LogHist) bucket(x float64) int {
 	if math.IsNaN(x) || x <= h.cfg.Origin {
 		return 0
 	}
-	if math.IsInf(x, 1) {
-		return h.cfg.Buckets - 1
+	bits := math.Float64bits(x / h.cfg.Origin) // ≥ 1, so normal or +Inf
+	exp := int(bits >> mantBits)
+	if exp == 0x7ff {
+		return h.cfg.Buckets - 1 // +Inf, or a quotient that overflowed
 	}
-	m, e := math.Frexp(x / h.cfg.Origin)
-	m2 := m + m
-	lo, hi := 0, len(h.thr)
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.thr[mid] <= m2 {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	mant := bits & (1<<mantBits - 1)
+	c := &h.tab.cells[mant>>h.tab.shift]
+	k := c.base
+	if mant >= c.edge {
+		k++
 	}
-	return h.cfg.clampIdx(1 + (e-1)*h.cfg.BucketsPerDoubling + lo)
+	return h.cfg.clampIdx(1 + (exp-1023)*h.cfg.BucketsPerDoubling + k)
 }
 
 // Merge folds another histogram into h. Both must share the same

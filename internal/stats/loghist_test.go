@@ -361,3 +361,102 @@ func TestLogHistWindowMatchesDense(t *testing.T) {
 		t.Error("merging an empty histogram allocated counters")
 	}
 }
+
+// tableLayouts are the layouts the table bucketing is pinned on: the
+// fleet's slowdown layout, its latency and recovery layouts (which are
+// identical), and odd BucketsPerDoubling values whose cells and edges
+// fall differently.
+func tableLayouts() []LogHistConfig {
+	return []LogHistConfig{
+		{Origin: 1, BucketsPerDoubling: 32, Buckets: 256},     // fleet.SlowdownHistConfig
+		{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280}, // fleet.LatencyHistConfig, RecoveryHistConfig
+		{Origin: 0.7, BucketsPerDoubling: 1, Buckets: 40},
+		{Origin: 3, BucketsPerDoubling: 7, Buckets: 300},
+		{Origin: 1e-9, BucketsPerDoubling: 100, Buckets: 8000},
+		{Origin: 1e-3, BucketsPerDoubling: 1, Buckets: 2000}, // top bucket past the exponent range
+	}
+}
+
+// TestLogHistTableMatchesBucket pins Observe's table lookup to the
+// reference rule, LogHistConfig.Bucket: at every bucket edge
+// Origin·2^(k/B) of each layout, at the edge's float neighbours on
+// either side, and on random values spanning the layout.
+func TestLogHistTableMatchesBucket(t *testing.T) {
+	rng := NewRand(19)
+	for _, cfg := range tableLayouts() {
+		h := NewLogHist(cfg)
+		check := func(x float64) {
+			t.Helper()
+			if got, want := h.bucket(x), cfg.Bucket(x); got != want {
+				t.Fatalf("%+v: table bucket(%v) = %d, reference %d", cfg, x, got, want)
+			}
+		}
+		for k := 0; k <= cfg.Buckets+cfg.BucketsPerDoubling; k++ {
+			edge := cfg.Value(k)
+			check(edge)
+			check(math.Nextafter(edge, math.Inf(1)))
+			check(math.Nextafter(edge, 0))
+		}
+		top := math.Log2(cfg.Value(cfg.Buckets))
+		for range 100_000 {
+			check(cfg.Origin * math.Exp2(rng.Float64()*(top+2)-1))
+			check(rng.Float64() * cfg.Value(cfg.Buckets))
+		}
+		for _, x := range []float64{0, -1, cfg.Origin, math.SmallestNonzeroFloat64, math.MaxFloat64,
+			math.NaN(), math.Inf(1), math.Inf(-1)} {
+			check(x)
+		}
+	}
+}
+
+// TestLogHistTablesShared pins the table's scope: histograms with the
+// same BucketsPerDoubling share one table, whatever their origin.
+func TestLogHistTablesShared(t *testing.T) {
+	a := NewLogHist(LogHistConfig{Origin: 1, BucketsPerDoubling: 32, Buckets: 256})
+	b := NewLogHist(LogHistConfig{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280})
+	if a.tab != b.tab {
+		t.Error("two 32-per-doubling histograms built separate bucket tables")
+	}
+}
+
+// TestLogHistQuotientOverflow pins the top-bucket clamp for a finite
+// observation whose quotient x/Origin overflows to +Inf: Frexp(+Inf)
+// reports exponent 0, which once put it in bucket 1.
+func TestLogHistQuotientOverflow(t *testing.T) {
+	for _, cfg := range []LogHistConfig{
+		{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280}, // the latency layout
+		// A layout whose top bucket lies past what the quotient's
+		// exponent can reach, so clamping the index is not enough.
+		{Origin: 1e-3, BucketsPerDoubling: 1, Buckets: 2000},
+	} {
+		top := cfg.Buckets - 1
+		for _, x := range []float64{1e306, math.MaxFloat64} {
+			if got := cfg.Bucket(x); got != top {
+				t.Errorf("%+v: Bucket(%v) = %d, want top bucket %d", cfg, x, got, top)
+			}
+			h := NewLogHist(cfg)
+			h.Observe(x)
+			if i := top - h.lo; i < 0 || i >= len(h.counts) || h.counts[i] != 1 {
+				t.Errorf("%+v: Observe(%v) missed the top bucket: window [%d, %d)", cfg, x, h.lo, h.lo+len(h.counts))
+			}
+		}
+	}
+}
+
+// BenchmarkLogHistObserve measures one observation into the fleet's
+// latency layout (fleet.LatencyHistConfig), over log-normal latencies
+// in milliseconds spread across a few decades, as a host records them.
+func BenchmarkLogHistObserve(b *testing.B) {
+	cfg := LogHistConfig{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280}
+	rng := NewRand(7)
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = rng.LogNormal(4, 1.5)
+	}
+	h := NewLogHist(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(xs[i&(len(xs)-1)])
+	}
+}
