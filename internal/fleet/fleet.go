@@ -52,8 +52,8 @@ type Config struct {
 	Hosts int
 	// Host is the per-host capacity.
 	Host HostSpec
-	// Policy places sandboxes onto hosts. Use NewPolicy; stateful
-	// policies must not be reused across simulations.
+	// Policy places sandboxes onto hosts; NewPolicy names the
+	// built-in ones.
 	Policy Policy
 	// Profile supplies the platform's billing model, serving overhead,
 	// and keep-alive policy.
@@ -295,9 +295,10 @@ func placeAll(cfg Config, metas []trace.PodMeta, pods []pod) (view View, ps plac
 	}
 
 	var pending releaseHeap
-	// The policy sees the active prefix through one view: passed
-	// through the Policy interface, it escapes, so it is allocated
-	// once per pass, not once per pod.
+	// The policy sees the active prefix through one view, which also
+	// carries Next from one placement to the next. Passed through the
+	// Policy interface, it escapes, so it is allocated once per pass,
+	// not once per pod.
 	var sub View
 
 	for i := range metas {
@@ -354,6 +355,7 @@ func placeAll(cfg Config, metas []trace.PodMeta, pods []pod) (view View, ps plac
 			ps.rejected++
 			continue
 		}
+		sub.Next = (idx + 1) % active
 		pods[i].host = idx
 		h := &view.Hosts[idx]
 		h.CommittedVCPU += p.VCPU

@@ -23,11 +23,10 @@ var update = flag.Bool("update", false, "rewrite golden report fixtures")
 
 // goldenCases pins one configuration per distinct code path: the
 // default fixed fleet, a memory-retaining keep-alive profile under
-// bin-pack, and an autoscaled pool. The policy is carried by name and
-// constructed fresh per run (round-robin is stateful). Workers is set
-// explicitly so the fixture does not depend on GOMAXPROCS (the report
-// is identical for any worker count; only the printed worker line
-// would vary).
+// bin-pack, and an autoscaled pool. The policy is carried by name.
+// Workers is set explicitly so the fixture does not depend on
+// GOMAXPROCS (the report is identical for any worker count; only the
+// printed worker line would vary).
 type goldenCase struct {
 	name   string
 	policy string

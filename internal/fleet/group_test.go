@@ -27,8 +27,7 @@ type groupVariant struct {
 	hosts      int
 }
 
-// config builds the variant fresh, so stateful policies never share
-// decisions between the runs a test compares.
+// config builds the variant's cluster configuration.
 func (v groupVariant) config(t *testing.T, plan *faults.Plan, workers int) Config {
 	t.Helper()
 	pol, err := NewPolicy(v.policy)

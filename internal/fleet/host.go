@@ -613,11 +613,10 @@ func (s *hostSim) complete(now time.Duration, rec *inflightRec) {
 		window = ka.Window(s.rng, int(*sb.fnCount))
 	} else {
 		// Adaptive modes: the per-function decider chooses the window
-		// (ignoring s.rng — the host stream is passed for the Static
-		// wrapper's benefit only) and the idle instant is remembered so
+		// from its own stream, and the idle instant is remembered so
 		// the gap can be observed at the pod's next arrival.
 		pka := s.podKA(p)
-		window = pka.decider.Window(s.rng, int(*sb.fnCount))
+		window = pka.decider.Window(int(*sb.fnCount))
 		pka.idleFrom = now
 	}
 	sb.idleTimer = s.clock.Schedule(now+window, s.expireFn, sb)

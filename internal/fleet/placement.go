@@ -54,14 +54,20 @@ func (h HostLoad) VCPUFraction() float64 {
 // View is the cluster state a policy chooses from.
 type View struct {
 	Hosts []HostLoad
+	// Next is the host after the last placement, wrapped to the size
+	// of that placement's view: where round-robin resumes. The
+	// placement pass sets it.
+	Next int
 }
 
 // Policy decides which host a new sandbox lands on.
 //
 // Place returns the index of a host in v that Fits the flavor, or -1 when
 // no host can take it (the sandbox is then rejected). rng is the
-// placer's deterministic stream; policies must not keep hidden global
-// state, so that a simulation is reproducible from its seed alone.
+// placer's deterministic stream. A policy decides from its arguments
+// alone, so placement is a pure function of the configuration and the
+// pods, and one Config replays identically any number of times. The
+// built-in policies are stateless values.
 type Policy interface {
 	Name() string
 	Place(v *View, vcpu, memMB float64, rng *stats.Rand) int
@@ -97,19 +103,16 @@ func (randomPolicy) Place(v *View, vcpu, memMB float64, rng *stats.Rand) int {
 	panic("unreachable: fewer fitting hosts on the second walk")
 }
 
-// roundRobinPolicy cycles through hosts, skipping full ones.
-type roundRobinPolicy struct {
-	next int
-}
+// roundRobinPolicy cycles through hosts from v.Next, skipping full
+// ones.
+type roundRobinPolicy struct{}
 
-func (*roundRobinPolicy) Name() string { return "round-robin" }
+func (roundRobinPolicy) Name() string { return "round-robin" }
 
-func (p *roundRobinPolicy) Place(v *View, vcpu, memMB float64, _ *stats.Rand) int {
+func (roundRobinPolicy) Place(v *View, vcpu, memMB float64, _ *stats.Rand) int {
 	n := len(v.Hosts)
 	for off := 0; off < n; off++ {
-		i := (p.next + off) % n
-		if v.Hosts[i].Fits(vcpu, memMB) {
-			p.next = (i + 1) % n
+		if i := (v.Next + off) % n; v.Hosts[i].Fits(vcpu, memMB) {
 			return i
 		}
 	}
@@ -159,14 +162,13 @@ func (binPackPolicy) Place(v *View, vcpu, memMB float64, _ *stats.Rand) int {
 	return best
 }
 
-// NewPolicy returns a fresh instance of the named policy. Stateful
-// policies (round-robin) must not be shared between simulations.
+// NewPolicy returns the named built-in policy.
 func NewPolicy(name string) (Policy, error) {
 	switch name {
 	case "random":
 		return randomPolicy{}, nil
 	case "round-robin":
-		return &roundRobinPolicy{}, nil
+		return roundRobinPolicy{}, nil
 	case "least-loaded":
 		return leastLoadedPolicy{}, nil
 	case "bin-pack":

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,7 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 			if idx < 0 {
 				continue
 			}
+			view.Next = (idx + 1) % len(view.Hosts) // as placeAll advances it
 			h := &view.Hosts[idx]
 			h.CommittedVCPU += p.VCPU
 			h.CommittedMemMB += p.MemMB
@@ -129,10 +131,13 @@ func TestPolicyCharacteristics(t *testing.T) {
 
 	rr, _ := NewPolicy("round-robin")
 	seq := []int{0, 1, 2, 0}
+	rv := view()
 	for i, want := range seq {
-		if got := rr.Place(view(), 0.5, 256, nil); got != want {
+		got := rr.Place(rv, 0.5, 256, nil)
+		if got != want {
 			t.Errorf("round-robin call %d placed on %d, want %d", i, got, want)
 		}
+		rv.Next = (got + 1) % len(rv.Hosts) // as placeAll advances it
 	}
 
 	rnd, _ := NewPolicy("random")
@@ -154,6 +159,45 @@ func TestPolicyCharacteristics(t *testing.T) {
 		p, _ := NewPolicy(name)
 		if got := p.Place(view(), 64, 512, rng); got != -1 {
 			t.Errorf("%s placed an impossible flavor on host %d", name, got)
+		}
+	}
+}
+
+// TestConfigReplaysIdentically: placement is a pure function of
+// (config, pods), so one Config value, its policy included, can be
+// simulated and placed any number of times with identical results.
+// A policy that kept a cursor between calls would resume the second
+// run where the first left off.
+func TestConfigReplaysIdentically(t *testing.T) {
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 3000
+	gen.Seed = 17
+	tr := trace.Generate(gen)
+	for _, name := range PolicyNames() {
+		policy, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Hosts: 5, Host: DefaultHostSpec(), Policy: policy,
+			Profile: core.AWS(), Workers: 2, Overcommit: 2, Seed: 20260613,
+		}
+		var reports [2]Report
+		var placements [2][]PodAssignment
+		for i := range 2 {
+			if reports[i], err = Simulate(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+			if placements[i], err = Place(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(reports[0], reports[1]) {
+			t.Errorf("%s: second simulation of one config differs:\n%s\nvs\n%s",
+				name, renderReport(reports[0]), renderReport(reports[1]))
+		}
+		if !reflect.DeepEqual(placements[0], placements[1]) {
+			t.Errorf("%s: second placement of one config differs", name)
 		}
 	}
 }
@@ -221,11 +265,12 @@ func TestRandomPolicyMatchesFitList(t *testing.T) {
 	}
 }
 
-// TestBuildPodsGrouping checks the pods fleet.Place builds from a
+// TestBuildPodsGrouping checks the pods fleet.Place returns for a
 // trace: one assignment per pod of the request scan, in order of first
-// arrival, each listing exactly its own requests in arrival order,
-// opening with the pod's cold start and ending within the pod's
-// extent.
+// arrival, each carrying the scan's metadata and a host in range. A
+// walk over the trace confirms that metadata: each pod's request
+// count, its first arrival at its cold start, and every request ending
+// within the pod's extent.
 func TestBuildPodsGrouping(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig()
 	cfg.Requests = 2000
@@ -235,7 +280,8 @@ func TestBuildPodsGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := Place(Config{Hosts: 4, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 5}, tr)
+	const hosts = 4
+	as, err := Place(Config{Hosts: hosts, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 5}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,34 +292,37 @@ func TestBuildPodsGrouping(t *testing.T) {
 	if len(as) != len(pods) {
 		t.Fatalf("Place returned %d pods, the scan found %d", len(as), len(pods))
 	}
-	total := 0
+	slot := make(map[int]int, len(as))
 	for i, a := range as {
-		p := pods[i]
-		if a.PodID != p.ID || len(a.Requests) != p.NReqs {
-			t.Fatalf("assignment %d is pod %d with %d requests, scan has pod %d with %d",
-				i, a.PodID, len(a.Requests), p.ID, p.NReqs)
+		if a.PodMeta != pods[i] {
+			t.Fatalf("assignment %d carries %+v, the scan found %+v", i, a.PodMeta, pods[i])
 		}
-		total += len(a.Requests)
-		if i > 0 && tr.Requests[as[i-1].Requests[0]].Start > tr.Requests[a.Requests[0]].Start {
+		if a.Host < -1 || a.Host >= hosts {
+			t.Fatalf("pod %d on out-of-range host %d", a.ID, a.Host)
+		}
+		if i > 0 && as[i-1].First > a.First {
 			t.Fatal("pods not sorted by first arrival")
 		}
-		for j, ri := range a.Requests {
-			r := tr.Requests[ri]
-			if r.PodID != a.PodID {
-				t.Fatalf("pod %d holds foreign request %d", a.PodID, ri)
-			}
-			if j > 0 && ri <= a.Requests[j-1] {
-				t.Fatalf("pod %d requests out of arrival order at %d", a.PodID, j)
-			}
-			if j == 0 && !r.ColdStart {
-				t.Errorf("pod %d first request not a cold start", a.PodID)
-			}
-			if end := r.Start + r.Turnaround(); end > p.Last {
-				t.Errorf("pod %d last %v before request end %v", a.PodID, p.Last, end)
-			}
+		slot[a.ID] = i
+	}
+	seen := make([]int, len(as))
+	for ri, r := range tr.Requests {
+		i, ok := slot[r.PodID]
+		if !ok {
+			t.Fatalf("request %d's pod %d has no assignment", ri, r.PodID)
+		}
+		a := &as[i]
+		if seen[i] == 0 && (r.Start != a.First || !r.ColdStart) {
+			t.Errorf("pod %d first request at %v (cold %v), want a cold start at %v", a.ID, r.Start, r.ColdStart, a.First)
+		}
+		seen[i]++
+		if end := r.Start + r.Turnaround(); end > a.Last {
+			t.Errorf("pod %d last %v before request end %v", a.ID, a.Last, end)
 		}
 	}
-	if total != tr.Len() {
-		t.Errorf("pods hold %d requests, trace has %d", total, tr.Len())
+	for i, a := range as {
+		if seen[i] != a.NReqs {
+			t.Errorf("pod %d has %d requests in the trace, its assignment says %d", a.ID, seen[i], a.NReqs)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"time"
 
 	"slscost/internal/trace"
 )
@@ -12,21 +11,12 @@ import (
 // replays hosts independently from.
 
 // PodAssignment is one pod's placement outcome, exposed for the
-// differential harness: the trace request indices the pod serves (in
-// arrival order) and the host the sequential placement pass bound it
-// to (-1 when every host rejected it).
+// differential harness: the pod as the request scan found it, and the
+// host the sequential placement pass bound it to (-1 when every host
+// rejected it).
 type PodAssignment struct {
-	PodID int
-	FnID  int
-	Host  int
-	// VCPU and MemMB are the pod's flavor; InitDuration is its first
-	// request's initialization time (what every cold start of the pod
-	// pays, re-colds included).
-	VCPU         float64
-	MemMB        float64
-	InitDuration time.Duration
-	// Requests are indices into the trace, in arrival order.
-	Requests []int
+	trace.PodMeta
+	Host int
 }
 
 // Place runs only the sequential placement pass of Simulate and returns
@@ -44,22 +34,8 @@ func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 	}
 	pl := place(cfg, metas, podMetas(metas))
 	out := make([]PodAssignment, len(metas))
-	byID := make(map[int]*PodAssignment, len(metas))
 	for i, m := range metas {
-		out[i] = PodAssignment{
-			PodID:        m.ID,
-			FnID:         m.FnID,
-			Host:         pl.pods[i].host,
-			VCPU:         m.VCPU,
-			MemMB:        m.MemMB,
-			InitDuration: m.Init,
-			Requests:     make([]int, 0, m.NReqs),
-		}
-		byID[m.ID] = &out[i]
-	}
-	for i, r := range tr.Requests {
-		a := byID[r.PodID]
-		a.Requests = append(a.Requests, i)
+		out[i] = PodAssignment{PodMeta: m, Host: pl.pods[i].host}
 	}
 	return out, nil
 }

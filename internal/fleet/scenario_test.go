@@ -56,11 +56,11 @@ func TestPlaceMatchesSimulateRejections(t *testing.T) {
 	}
 	total, rejected := 0, 0
 	for _, p := range pods {
-		total += len(p.Requests)
+		total += p.NReqs
 		if p.Host < 0 {
-			rejected += len(p.Requests)
+			rejected += p.NReqs
 		} else if p.Host >= cfg.Hosts {
-			t.Fatalf("pod %d on out-of-range host %d", p.PodID, p.Host)
+			t.Fatalf("pod %d on out-of-range host %d", p.ID, p.Host)
 		}
 	}
 	if total != tr.Len() {

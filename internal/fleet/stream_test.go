@@ -17,8 +17,8 @@ import (
 	"slscost/internal/trace"
 )
 
-// streamTestConfig returns a fresh config (policies are stateful, so
-// every simulation gets its own instance).
+// streamTestConfig returns a small cluster config under the named
+// policy.
 func streamTestConfig(t *testing.T, policy string, workers int) Config {
 	t.Helper()
 	pol, err := NewPolicy(policy)
@@ -164,9 +164,9 @@ func TestSimulateStreamWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamStatefulPolicy pins that the stateful round-robin
-// policy behaves identically on both paths (placement runs once, in
-// the same order).
+// TestSimulateStreamStatefulPolicy pins that round-robin, whose cursor
+// the placement pass carries in its view, behaves identically on both
+// paths (placement runs once, in the same order).
 func TestSimulateStreamStatefulPolicy(t *testing.T) {
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = 3000

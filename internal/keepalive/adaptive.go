@@ -3,8 +3,6 @@ package keepalive
 import (
 	"fmt"
 	"time"
-
-	"slscost/internal/stats"
 )
 
 // This file implements the windowed-histogram adaptive TTL decider —
@@ -103,11 +101,10 @@ func (a *Adaptive) ObserveIdle(gap time.Duration) {
 func (a *Adaptive) Samples() int { return a.total }
 
 // Window returns the learned keep-alive bound once the histogram is
-// trustworthy, and the fallback window before that. hostRNG is
-// ignored: adaptive decisions are a pure function of the observation
-// stream, which is what the resume metamorphic test and the
-// differential oracle both rely on.
-func (a *Adaptive) Window(_ *stats.Rand, _ int) time.Duration {
+// trustworthy, and the fallback window before that. Adaptive decisions
+// are a pure function of the observation stream, which is what the
+// resume metamorphic test and the differential oracle both rely on.
+func (a *Adaptive) Window(_ int) time.Duration {
 	a.st.Decisions++
 	_, keepAlive, learned := a.plan()
 	if learned {

@@ -40,7 +40,7 @@ func TestPlanFallsBackWithoutData(t *testing.T) {
 	}
 	// The decider surface agrees: an untrained Window is the fallback,
 	// and it is not counted as learned.
-	if w := a.Window(nil, 1); w != 10*time.Minute {
+	if w := a.Window(1); w != 10*time.Minute {
 		t.Errorf("untrained Window = %v, want fallback", w)
 	}
 	if st := a.Stats(); st.Decisions != 1 || st.Learned != 0 {
@@ -84,7 +84,7 @@ func TestRegularTrafficBecomesWarm(t *testing.T) {
 	}
 	// The trained decider's window covers the jittered gap and counts as
 	// a learned decision.
-	if w := a.Window(nil, 1); w < interval+30*time.Second {
+	if w := a.Window(1); w < interval+30*time.Second {
 		t.Errorf("trained Window = %v, shorter than the observed gaps", w)
 	}
 	if st := a.Stats(); st.Learned != st.Decisions {

@@ -131,8 +131,8 @@ func (b *Bandit) ObserveIdle(gap time.Duration) {
 // Window pulls an arm — exploring with probability epsilon, otherwise
 // exploiting the cheapest mean (never-updated arms are optimistically
 // cheapest; ties break to the lowest index) — and samples the chosen
-// arm's window on the bandit's own stream. hostRNG is ignored.
-func (b *Bandit) Window(_ *stats.Rand, instances int) time.Duration {
+// arm's window on the bandit's own stream.
+func (b *Bandit) Window(instances int) time.Duration {
 	b.st.Decisions++
 	var arm int
 	if b.epsilon > 0 && b.rng.Float64() < b.epsilon {

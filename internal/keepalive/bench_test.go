@@ -23,7 +23,7 @@ func BenchmarkAdaptiveTTL(b *testing.B) {
 	var sink time.Duration
 	for i := 0; i < b.N; i++ {
 		a.ObserveIdle(gaps[i%len(gaps)])
-		sink = a.Window(nil, 1)
+		sink = a.Window(1)
 	}
 	_ = sink
 }

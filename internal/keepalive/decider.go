@@ -7,22 +7,21 @@ import (
 )
 
 // This file is the per-function keep-alive decision layer: the Decider
-// interface the fleet consults once per idle transition, and the seed
-// derivation that gives every (host, function) pair its own
-// decorrelated random stream. The three implementations live next to
-// it: Static (this file) wraps a Table 2 Policy unchanged, Adaptive
-// (adaptive.go) learns a windowed idle-time histogram, and Bandit
-// (bandit.go) runs epsilon-greedy over the static catalog.
+// interface the fleet consults once per idle transition in the
+// adaptive modes, and the seed derivation that gives every (host,
+// function) pair its own decorrelated random stream. The two
+// implementations live next to it: Adaptive (adaptive.go) learns a
+// windowed idle-time histogram, and Bandit (bandit.go) runs
+// epsilon-greedy over the static catalog. Static mode has no decider:
+// the fleet draws the platform policy's windows from the host's shared
+// stream directly.
 //
 // The determinism contract every implementation must honor: a
 // decider's decisions are a pure function of its observation stream
-// and its own construction-time seed. Static is the one exception by
-// design — it draws from the host's shared stream (the hostRNG
-// argument), which is exactly what makes a static-mode run
-// byte-identical to the pre-decider fleet. Adaptive and Bandit must
-// ignore hostRNG entirely; the differential oracle
-// (internal/scenario/diffsim) replays the same decider state machines
-// against the fleet's, so any hidden dependence on shared state shows
+// and its own construction-time seed. Window takes no host stream, so
+// no decider can reach shared state through it; the differential
+// oracle (internal/scenario/diffsim) replays the same decider state
+// machines against the fleet's, so any other hidden dependence shows
 // up as a report disagreement.
 
 // Mode names a decider family. The fleet, the optimizer grid, and the
@@ -61,19 +60,16 @@ type Decider interface {
 	// reclaimed).
 	ObserveIdle(gap time.Duration)
 	// Window returns the keep-alive window for a sandbox going idle
-	// now, given the function's current live-instance count. hostRNG is
-	// the host's shared stream: Static draws from it (preserving the
-	// pre-decider byte stream); every other implementation must ignore
-	// it and use only its own construction-time seeded stream.
-	Window(hostRNG *stats.Rand, instances int) time.Duration
+	// now, given the function's current live-instance count.
+	Window(instances int) time.Duration
 	// Stats returns the decider's cumulative decision telemetry.
 	Stats() Stats
 }
 
 // Stats is a decider's decision telemetry, merged per host and then
-// cluster-wide into the fleet report. Static deciders report all
-// zeros, so static-mode reports stay byte-identical to the pre-decider
-// layout.
+// cluster-wide into the fleet report. Static mode has no deciders and
+// reports all zeros, so static-mode reports stay byte-identical to the
+// pre-decider layout.
 type Stats struct {
 	// Decisions counts Window calls; Observations counts ObserveIdle
 	// calls.
@@ -115,33 +111,3 @@ const deciderSalt = 0x6b612d6465636964 // "ka-decid"
 func FunctionSeed(seed uint64, host, fnID int) uint64 {
 	return stats.MixSeed(stats.MixSeed(stats.MixSeed(seed, deciderSalt), uint64(host)+1), uint64(fnID)+1)
 }
-
-// Static wraps a Policy as a Decider: every window comes from
-// Policy.Window on the host's shared stream, so a static-mode fleet
-// run consumes exactly the random draws the pre-decider fleet consumed
-// and produces byte-identical output. It learns nothing and reports
-// zero telemetry.
-type Static struct {
-	policy Policy
-}
-
-// NewStatic wraps the policy.
-func NewStatic(p Policy) *Static { return &Static{policy: p} }
-
-// Name identifies the wrapped policy.
-func (d *Static) Name() string { return "static:" + d.policy.Name }
-
-// ObserveIdle discards the observation: the static window depends on
-// nothing the fleet can measure.
-func (d *Static) ObserveIdle(time.Duration) {}
-
-// Window draws from the wrapped policy's own distribution on the
-// host's shared stream — the exact pre-decider draw.
-func (d *Static) Window(hostRNG *stats.Rand, instances int) time.Duration {
-	return d.policy.Window(hostRNG, instances)
-}
-
-// Stats returns zeros: static decisions carry no adaptive state, and
-// zero telemetry is what keeps static reports byte-identical to the
-// pre-decider fixtures.
-func (d *Static) Stats() Stats { return Stats{} }

@@ -7,33 +7,6 @@ import (
 	"slscost/internal/stats"
 )
 
-// TestStaticDeciderMatchesPolicyWindow: the Static wrapper consumes
-// exactly the draws Policy.Window consumes, in the same order, on the
-// shared stream — the whole byte-identity argument for static-mode
-// fleet runs reduced to a unit test.
-func TestStaticDeciderMatchesPolicyWindow(t *testing.T) {
-	for _, p := range Catalog() {
-		direct := stats.NewRand(11)
-		wrapped := stats.NewRand(11)
-		d := NewStatic(p)
-		if want := "static:" + p.Name; d.Name() != want {
-			t.Errorf("name = %q, want %q", d.Name(), want)
-		}
-		for i := 0; i < 500; i++ {
-			instances := 1 + i%5
-			want := p.Window(direct, instances)
-			got := d.Window(wrapped, instances)
-			if got != want {
-				t.Fatalf("%s: decision %d = %v, want %v", p.Name, i, got, want)
-			}
-			d.ObserveIdle(time.Duration(i) * time.Second)
-		}
-		if d.Stats() != (Stats{}) {
-			t.Errorf("%s: static decider reported telemetry: %+v", p.Name, d.Stats())
-		}
-	}
-}
-
 // deciderOp is one step of a recorded decider call sequence: an
 // observation, or a decision at a given instance count.
 type deciderOp struct {
@@ -59,16 +32,13 @@ func opStream(n int) []deciderOp {
 }
 
 // replay feeds ops to the decider and returns the decision sequence.
-// hostRNG is nil for the adaptive modes on purpose: any attempt to
-// draw from the host stream is an immediate panic, which is the test
-// for the "must ignore hostRNG" half of the determinism contract.
-func replay(d Decider, ops []deciderOp, hostRNG *stats.Rand) []time.Duration {
+func replay(d Decider, ops []deciderOp) []time.Duration {
 	var decisions []time.Duration
 	for _, op := range ops {
 		if op.observe {
 			d.ObserveIdle(op.gap)
 		} else {
-			decisions = append(decisions, d.Window(hostRNG, op.instances))
+			decisions = append(decisions, d.Window(op.instances))
 		}
 	}
 	return decisions
@@ -99,11 +69,11 @@ func TestDeciderResumeMetamorphic(t *testing.T) {
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			want := replay(build(), ops, nil)
+			want := replay(build(), ops)
 			for split := 0; split <= len(ops); split += 17 {
 				d := build()
-				got := replay(d, ops[:split], nil)
-				got = append(got, replay(d, ops[split:], nil)...)
+				got := replay(d, ops[:split])
+				got = append(got, replay(d, ops[split:])...)
 				if len(got) != len(want) {
 					t.Fatalf("split %d: %d decisions, want %d", split, len(got), len(want))
 				}
@@ -130,8 +100,8 @@ func TestBanditDeterminismAndAccounting(t *testing.T) {
 		return b
 	}
 	a, b := mk(99), mk(99)
-	da := replay(a, ops, nil)
-	db := replay(b, ops, nil)
+	da := replay(a, ops)
+	db := replay(b, ops)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("same-seed bandits diverged at decision %d: %v vs %v", i, da[i], db[i])
@@ -149,7 +119,7 @@ func TestBanditDeterminismAndAccounting(t *testing.T) {
 	}
 
 	c := mk(100)
-	dc := replay(c, ops, nil)
+	dc := replay(c, ops)
 	same := true
 	for i := range da {
 		if da[i] != dc[i] {
@@ -171,7 +141,7 @@ func TestBanditLearnsCheapestArm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		b.Window(nil, 1)
+		b.Window(1)
 		b.ObserveIdle(30 * time.Second)
 	}
 	if got := b.Arm().Name; got != "aws" {

@@ -137,16 +137,15 @@ func (s *Spec) Validate() error {
 }
 
 // NewDecider builds the spec's decider for one (host, function) pair:
-// base is the platform's static policy (the static wrap target and the
-// adaptive fallback source) and fnSeed is the FunctionSeed-derived
-// stream seed. Call only on a validated spec.
+// base is the platform's static policy (the adaptive fallback source)
+// and fnSeed is the FunctionSeed-derived stream seed. Call only on a
+// validated adaptive or bandit spec: static mode has no decider, so a
+// nil or static spec is an error.
 func (s *Spec) NewDecider(base Policy, fnSeed uint64) (Decider, error) {
-	if s == nil {
-		return NewStatic(base), nil
+	if s == nil || s.Mode == ModeStatic {
+		return nil, fmt.Errorf("keepalive: static mode has no decider")
 	}
 	switch s.Mode {
-	case ModeStatic:
-		return NewStatic(base), nil
 	case ModeAdaptive:
 		maxIdle, binWidth := s.histogram()
 		fallback := expectedWindow(base)

@@ -78,15 +78,14 @@ func TestDecodeSpecSizeCap(t *testing.T) {
 }
 
 func TestNewDeciderPerMode(t *testing.T) {
-	// nil spec and explicit static both wrap the base policy.
+	// Static mode has no decider: a nil spec and an explicit static one
+	// are both errors.
 	var nilSpec *Spec
-	d, err := nilSpec.NewDecider(AWS, 1)
-	if err != nil || d.Name() != "static:aws" {
-		t.Fatalf("nil spec decider = %v, %v", d, err)
+	if d, err := nilSpec.NewDecider(AWS, 1); err == nil {
+		t.Fatalf("nil spec built decider %v", d.Name())
 	}
-	d, err = (&Spec{Mode: ModeStatic}).NewDecider(GCP, 1)
-	if err != nil || d.Name() != "static:gcp" {
-		t.Fatalf("static spec decider = %v, %v", d, err)
+	if d, err := (&Spec{Mode: ModeStatic}).NewDecider(GCP, 1); err == nil {
+		t.Fatalf("static spec built decider %v", d.Name())
 	}
 
 	// Adaptive defaults its fallback to the base policy's midpoint.
@@ -94,7 +93,7 @@ func TestNewDeciderPerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ad.Window(nil, 1); w != 330*time.Second {
+	if w := ad.Window(1); w != 330*time.Second {
 		t.Errorf("untrained adaptive window = %v, want AWS midpoint 330s", w)
 	}
 
@@ -103,7 +102,7 @@ func TestNewDeciderPerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ad.Window(nil, 1); w != 42*time.Second {
+	if w := ad.Window(1); w != 42*time.Second {
 		t.Errorf("untrained adaptive window = %v, want explicit 42s", w)
 	}
 

@@ -38,9 +38,7 @@ const PlatformTTL = time.Duration(-1)
 // everything else (platform profile, host shape, workload) supplied by
 // the sweep Config.
 type Candidate struct {
-	// Policy is the placement policy name (fleet.NewPolicy); a fresh
-	// policy instance is constructed per evaluation, so stateful
-	// policies never leak decisions between evaluations.
+	// Policy is the placement policy name (fleet.NewPolicy).
 	Policy string
 	// KeepAliveTTL overrides the platform's keep-alive window with a
 	// fixed TTL (keepalive.Policy.WithTTL). Zero disables keep-alive;

@@ -1,12 +1,14 @@
 package opt
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"slscost/internal/core"
 	"slscost/internal/fleet"
+	"slscost/internal/trace"
 )
 
 func TestDefaultSpaceEnumerates24Candidates(t *testing.T) {
@@ -119,12 +121,34 @@ func TestFleetConfigAppliesKnobs(t *testing.T) {
 	if fc.Hosts != 16 {
 		t.Errorf("Hosts=0 did not inherit the sweep default: %d", fc.Hosts)
 	}
-	// Fresh policy instance per call: stateful policies must not alias.
+	// Evaluations built from one candidate are interchangeable: the
+	// same configuration evaluated twice, and a second configuration
+	// built from the candidate, render byte-identical reports. A fixed
+	// pool of five hosts makes round-robin's cursor matter.
+	c = Candidate{Policy: "round-robin", KeepAliveTTL: PlatformTTL, Overcommit: 1.5, Hosts: 5}
+	if fc, err = c.fleetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
 	fc2, err := c.fleetConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.Policy == fc2.Policy {
-		t.Error("fleetConfig reused a policy instance across evaluations")
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 3000
+	tr := trace.Generate(gen)
+	var texts []string
+	for _, f := range []fleet.Config{fc, fc, fc2} {
+		rep, err := fleet.Simulate(f, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		rep.WriteText(&b)
+		texts = append(texts, b.String())
+	}
+	for i, text := range texts[1:] {
+		if text != texts[0] {
+			t.Errorf("evaluation %d of one candidate differs:\n%s\nvs\n%s", i+1, text, texts[0])
+		}
 	}
 }

@@ -103,9 +103,7 @@ func (cfg Config) Validate() error {
 }
 
 // fleetConfig materializes the candidate into the cluster configuration
-// its evaluations run under. Each call constructs a fresh policy
-// instance, so stateful policies (round-robin) never share decisions
-// across evaluations.
+// its evaluations run under.
 func (c Candidate) fleetConfig(cfg Config) (fleet.Config, error) {
 	pol, err := fleet.NewPolicy(c.Policy)
 	if err != nil {

@@ -8,16 +8,16 @@
 // with cancellable timers, sharded across a worker pool. This package
 // re-derives the same quantities from the same inputs with a different
 // mechanism — one explicit chronological sweep per host, which walks
-// the host's arrivals from a sorted slice and keeps only pending
-// events (faults, completions, expiries) on a typed heap, with lazy
-// (generation-counted) expiry invalidation and sequential accounting —
-// so a bookkeeping bug in either implementation surfaces as a
-// disagreement. Hosts are independent: Replay sweeps them on
-// fleet.Config.Workers goroutines and folds their tallies in host
-// order. The per-host random stream contract (fleet.ShardSeed,
-// keep-alive windows drawn in event order) is shared and every float is
-// summed in the fleet's order, so agreement is exact: every relative
-// delta is 0. VerifyStream's context cancels the oracle's replay as
+// the host's arrivals in trace order, the order the fleet feeds them,
+// and keeps only pending events (faults, completions, expiries) on a
+// typed heap, with lazy (generation-counted) expiry invalidation and
+// sequential accounting — so a bookkeeping bug in either
+// implementation surfaces as a disagreement. Hosts are independent:
+// Replay sweeps them on fleet.Config.Workers goroutines and folds their
+// tallies in host order. The per-host random stream contract
+// (fleet.ShardSeed, keep-alive windows drawn in event order) is shared
+// and every float is summed in the fleet's order, so agreement is
+// exact: every relative delta is 0. VerifyStream's context cancels the oracle's replay as
 // well as the streamed simulation.
 //
 // Combined with internal/scenario, every workload scenario doubles as a
@@ -26,13 +26,10 @@
 package diffsim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -290,45 +287,21 @@ func Replay(cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
 // replay is Replay under a context: cancelling ctx stops every host's
 // event loop within cancelCheckMask+1 events and returns ctx.Err().
 func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
-	// Stateful built-in policies (round-robin keeps a cursor) are
-	// re-instantiated so this placement pass starts clean even when the
-	// caller already ran fleet.Simulate with the same Config value. The
-	// type check keeps a custom policy that merely shares a registry
-	// name from being silently swapped out; custom stateful policies
-	// must be passed in fresh.
-	if cfg.Policy != nil {
-		if p, err := fleet.NewPolicy(cfg.Policy.Name()); err == nil &&
-			reflect.TypeOf(p) == reflect.TypeOf(cfg.Policy) {
-			cfg.Policy = p
-		}
-	}
 	pods, err := fleet.Place(cfg, tr)
 	if err != nil {
 		return Aggregate{}, err
 	}
-	perHost := make([][]fleet.PodAssignment, cfg.Hosts)
 	var agg Aggregate
-	for _, p := range pods {
-		if p.Host < 0 {
-			agg.RejectedSandboxes++
-			agg.RejectedRequests += len(p.Requests)
-			continue
-		}
-		perHost[p.Host] = append(perHost[p.Host], p)
-	}
+	work := splitHosts(cfg.Hosts, pods, tr, &agg)
 
 	// Fault-masked placement offers, recomputed independently: a pod is
 	// masked when its first arrival falls inside any host's closed
-	// window — a pure function of the plan and the trace, never of the
-	// placement pass's internals.
+	// window — a pure function of the plan and the pods' first
+	// arrivals, never of the placement pass's internals.
 	if plan := cfg.Faults; !plan.Empty() {
 		for _, p := range pods {
-			if len(p.Requests) == 0 {
-				continue
-			}
-			first := tr.Requests[p.Requests[0]].Start
 			for hi := 0; hi < cfg.Hosts; hi++ {
-				if plan.UnavailableAt(hi, first) {
+				if plan.UnavailableAt(hi, p.First) {
 					agg.FaultMaskedPods++
 					break
 				}
@@ -337,7 +310,7 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 	}
 
 	tf := billing.Compile(cfg.Profile.Billing)
-	hosts, err := replayHosts(ctx, cfg, &tf, perHost, tr)
+	hosts, err := replayHosts(ctx, cfg, &tf, work, tr)
 	if err != nil {
 		return Aggregate{}, err
 	}
@@ -424,6 +397,55 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 	return agg, nil
 }
 
+// hostWork is one host's share of the placed trace: its pods, and its
+// arrivals in trace order, each naming its pod by slot in pods.
+type hostWork struct {
+	pods     []fleet.PodAssignment
+	arrivals []arrival
+}
+
+// splitHosts hands the placed trace to its hosts in one walk over the
+// trace, in trace order: the order fleet.SimulateStream feeds its
+// hosts at any worker count, so same-instant arrivals reach a host's
+// sweep in the order they reach the fleet's. Each host's arrival list
+// is presized from its pods' request counts. Rejected pods and their
+// requests are counted into agg.
+func splitHosts(hosts int, pods []fleet.PodAssignment, tr *trace.Trace, agg *Aggregate) []hostWork {
+	// Each pod's host (-1 when rejected) and its slot on that host.
+	type podSlot struct{ host, slot int32 }
+	slots := make(map[int]podSlot, len(pods))
+	work := make([]hostWork, hosts)
+	for _, p := range pods {
+		if p.Host < 0 {
+			agg.RejectedSandboxes++
+			slots[p.ID] = podSlot{host: -1}
+			continue
+		}
+		w := &work[p.Host]
+		slots[p.ID] = podSlot{host: int32(p.Host), slot: int32(len(w.pods))}
+		w.pods = append(w.pods, p)
+	}
+	for hi := range work {
+		w := &work[hi]
+		n := 0
+		for _, p := range w.pods {
+			n += p.NReqs
+		}
+		w.arrivals = make([]arrival, 0, n)
+	}
+	for ri := range tr.Requests {
+		r := &tr.Requests[ri]
+		s := slots[r.PodID]
+		if s.host < 0 {
+			agg.RejectedRequests++
+			continue
+		}
+		w := &work[s.host]
+		w.arrivals = append(w.arrivals, arrival{at: r.Start, pod: s.slot, req: int32(ri)})
+	}
+	return work
+}
+
 // cancelCheckMask gates how often a host's event loop polls its
 // context: every (mask+1) events, the bound internal/fleet's streaming
 // loops keep too.
@@ -433,7 +455,7 @@ const cancelCheckMask = 0x3ff
 // (zero means GOMAXPROCS), each taking the next unreplayed host. Hosts
 // share only read-only inputs, so each host's state is the same
 // whichever goroutine replayed it; the caller folds them in host order.
-func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, perHost [][]fleet.PodAssignment, tr *trace.Trace) ([]hostState, error) {
+func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, work []hostWork, tr *trace.Trace) ([]hostState, error) {
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -450,7 +472,7 @@ func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, perH
 				if hi >= len(out) || ctx.Err() != nil {
 					return
 				}
-				out[hi] = replayHost(ctx, cfg, tf, hi, perHost[hi], tr)
+				out[hi] = replayHost(ctx, cfg, tf, hi, &work[hi], tr)
 			}
 		}()
 	}
@@ -463,7 +485,7 @@ func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, perH
 	return out, nil
 }
 
-// arrival is one request in a host's sorted arrival slice.
+// arrival is one request in a host's arrival list.
 type arrival struct {
 	at  time.Duration
 	pod int32 // pod slot (index into the host's pod list)
@@ -480,11 +502,12 @@ const (
 // event is one pending runtime event on a host's heap. seq breaks
 // same-instant ties FIFO, matching simtime.Clock's scheduling-order
 // rule. Arrivals never enter the heap: they are walked from the host's
-// sorted arrival slice and win every tie, as if all of them had been
-// seeded before the sweep starts. Then come the fault plan's events,
-// seeded in plan order, then the completions and expiries the sweep
-// schedules — so at one instant arrivals fire first, then faults, then
-// runtime events: the exact order the fleet replay produces.
+// arrival list in trace order and win every tie, as if all of them had
+// been seeded, in that order, before the sweep starts. Then come the
+// fault plan's events, seeded in plan order, then the completions and
+// expiries the sweep schedules — so at one instant arrivals fire
+// first, then faults, then runtime events: the exact order the fleet
+// replay produces.
 type event struct {
 	at    time.Duration
 	seq   uint64
@@ -632,8 +655,9 @@ type hostState struct {
 // tariff, at each request's own recorded flavor. When ctx is cancelled
 // the sweep stops early and the tally is partial; the caller discards
 // it.
-func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostIdx int, pods []fleet.PodAssignment, tr *trace.Trace) hostState {
+func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostIdx int, w *hostWork, tr *trace.Trace) hostState {
 	var h hostState
+	pods, arrivals := w.pods, w.arrivals
 	if len(pods) == 0 {
 		return h
 	}
@@ -673,29 +697,7 @@ func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostI
 		return d
 	}
 
-	n := 0
-	for _, p := range pods {
-		n += len(p.Requests)
-	}
-	arrivals := make([]arrival, 0, n)
-	for pi, p := range pods {
-		for _, ri := range p.Requests {
-			arrivals = append(arrivals, arrival{at: tr.Requests[ri].Start, pod: int32(pi), req: int32(ri)})
-		}
-	}
-	// Seeding the arrivals pod by pod, each pod's in trace order, would
-	// number them in (pod, req) order: sorting on (at, pod, req) is the
-	// (at, seq) order a heap holding them all would pop.
-	slices.SortFunc(arrivals, func(a, b arrival) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.pod, b.pod); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.req, b.req)
-	})
-	h.pos = make([]int32, 0, n)
+	h.pos = make([]int32, 0, len(arrivals))
 
 	// The fault plan seeds first (and only on hosts that serve — this
 	// function early-returns above on an empty pod list, matching the
@@ -741,7 +743,7 @@ func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostI
 		switch {
 		case !sb.live:
 			cold = true
-			init = p.InitDuration
+			init = p.Init
 			if init <= 0 {
 				init = ka.ResidualColdStart
 			}
@@ -918,7 +920,7 @@ func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostI
 			if deciders == nil {
 				window = ka.Window(rng, fnInstances[p.FnID])
 			} else {
-				window = getDecider(p.FnID).Window(rng, fnInstances[p.FnID])
+				window = getDecider(p.FnID).Window(fnInstances[p.FnID])
 				idleFrom[ev.pod] = ev.at
 			}
 			q.push(event{at: ev.at + window, seq: seq, kind: evExpire, pod: ev.pod, gen: sb.gen})

@@ -243,6 +243,54 @@ func TestArrivalWinsSameInstantTie(t *testing.T) {
 	}
 }
 
+// TestExactTieAgrees replays the fleet's own exact-tie trace
+// (fleet.TestSimulateStreamExactTie) through the oracle: two pods'
+// requests arrive at the same nanosecond on one host, in the reverse
+// of the pods' first-arrival order. The fleet admits them in trace
+// order, and the admission order sets each one's contention factor,
+// so an oracle that broke the tie any other way would disagree on
+// latency and billing. Checked through Verify and through VerifyStream
+// at one and three workers.
+func TestExactTieAgrees(t *testing.T) {
+	const tie = 1000 * time.Millisecond
+	tr := &trace.Trace{Requests: []trace.Request{
+		{PodID: 1, FnID: 0, Start: 0, Duration: 50 * time.Millisecond,
+			CPUTime: 10 * time.Millisecond, AllocCPU: 1, AllocMemMB: 2048,
+			MemUsedMB: 100, ColdStart: true, InitDuration: 100 * time.Millisecond},
+		{PodID: 2, FnID: 1, Start: 100 * time.Millisecond, Duration: 50 * time.Millisecond,
+			CPUTime: 10 * time.Millisecond, AllocCPU: 4, AllocMemMB: 4096,
+			MemUsedMB: 100, ColdStart: true, InitDuration: 100 * time.Millisecond},
+		{PodID: 2, FnID: 1, Start: tie, Duration: 200 * time.Millisecond,
+			CPUTime: 40 * time.Millisecond, AllocCPU: 4, AllocMemMB: 4096, MemUsedMB: 100},
+		{PodID: 1, FnID: 0, Start: tie, Duration: 200 * time.Millisecond,
+			CPUTime: 40 * time.Millisecond, AllocCPU: 1, AllocMemMB: 2048, MemUsedMB: 100},
+	}}
+	cfg := fleetConfig(t, "bin-pack", core.AWS(), 2) // both pods land on host 0
+	cfg.Host = fleet.HostSpec{VCPU: 4, MemMB: 32768}
+	cfg.Seed = 1
+	cfg.Workers = 1
+	res, rep, err := Verify(cfg, tr, DefaultTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ContentionDelaySeconds == 0 {
+		t.Fatal("test construction broken: the tie never contends, so order is unobservable")
+	}
+	if err := checkExact(res); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		res, _, err := VerifyStream(context.Background(), cfg, trace.SourceOf(tr), DefaultTolerance)
+		if err != nil {
+			t.Fatalf("VerifyStream at %d workers: %v", workers, err)
+		}
+		if err := checkExact(res); err != nil {
+			t.Fatalf("VerifyStream at %d workers: %v", workers, err)
+		}
+	}
+}
+
 // TestVerifyStreamCancelStopsOracle: cancelling the context after the
 // streamed simulation has finished must stop the oracle too. The source
 // cancels on its third opening — the oracle's, after the fleet's
@@ -303,12 +351,7 @@ func TestReplayHostPollsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var host0 []fleet.PodAssignment
-	for _, p := range pods {
-		if p.Host == 0 {
-			host0 = append(host0, p)
-		}
-	}
+	host0 := &splitHosts(cfg.Hosts, pods, tr, &Aggregate{})[0]
 	tf := billing.Compile(cfg.Profile.Billing)
 	full := replayHost(context.Background(), cfg, &tf, 0, host0, tr)
 	if full.served <= 2*(cancelCheckMask+1) {
