@@ -361,10 +361,12 @@ func BenchmarkBillInvocation(b *testing.B) {
 		MemUsedGB: 0.4,
 	}
 	var total float64
+	var ch billing.Charge
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Duration += time.Microsecond
-		total += t.Charge(&f, u).Total()
+		t.Charge(&f, u, &ch)
+		total += ch.Total()
 	}
 	if total <= 0 {
 		b.Fatal("billed nothing")

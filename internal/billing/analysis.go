@@ -96,10 +96,11 @@ func AnalyzeInflation(tr *trace.Trace, models []Model) []InflationResult {
 		var billedCPU, actualCPU, billedMem, actualMem []float64
 		t := Compile(m)
 		cpu, mem := billsCPU(m), billsMem(m)
+		var ch Charge
 		for i := range tr.Requests {
 			r := &tr.Requests[i]
 			f := t.Flavor(r.AllocCPU, r.AllocMemMB)
-			ch := t.Charge(&f, RequestUsage(r))
+			t.Charge(&f, RequestUsage(r), &ch)
 			if cpu {
 				res.BillableCPUSeconds = append(res.BillableCPUSeconds, ch.CPUSeconds)
 				if actual := r.ActualCPUSeconds(); actual > 0 {
@@ -229,12 +230,13 @@ func AnalyzeRounding(tr *trace.Trace, pol TimePolicy, memGranGB float64, minDura
 	})
 	var f Flavor // the tariff bills no allocation
 	var out RoundingInflation
+	var ch Charge
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		if r.Duration < minDuration {
 			continue
 		}
-		ch := t.Charge(&f, Usage{Duration: r.Duration, MemUsedGB: r.MemUsedMB / 1024})
+		t.Charge(&f, Usage{Duration: r.Duration, MemUsedGB: r.MemUsedMB / 1024}, &ch)
 		out.RoundedUpTimeMs = append(out.RoundedUpTimeMs,
 			float64(ch.BillableTime-r.Duration)/float64(time.Millisecond))
 		if memGranGB > 0 {

@@ -151,13 +151,15 @@ func (m Model) Bill(inv Invocation) Charge {
 	var t Tariff
 	t.compile(&m)
 	f := t.flavor(inv.AllocCPU, inv.AllocMemGB)
-	return t.Charge(&f, Usage{
+	var ch Charge
+	t.Charge(&f, Usage{
 		Duration:         inv.Duration,
 		InitDuration:     inv.InitDuration,
 		InstanceLifespan: inv.InstanceLifespan,
 		CPUTime:          inv.CPUTime,
 		MemUsedGB:        inv.MemUsedGB,
-	})
+	}, &ch)
+	return ch
 }
 
 // PerSecondRate returns the dollars per second this model charges for a

@@ -246,12 +246,15 @@ type Usage struct {
 }
 
 // Charge applies Equation (1) to one request of flavor f, which must
-// come from the same tariff.
-func (t *Tariff) Charge(f *Flavor, u Usage) Charge {
+// come from the same tariff, and writes the outcome to ch. A Charge has
+// more fields than the compiler keeps in registers, so a returned one
+// would be copied through the stack on every request; writing into the
+// caller's avoids the copy.
+func (t *Tariff) Charge(f *Flavor, u Usage, ch *Charge) {
 	bt := t.billable(u.Duration, u.InitDuration, u.InstanceLifespan)
 	secs := bt.Seconds()
-	// The sums live in locals, not in the returned struct, so they stay
-	// in registers across the rules.
+	// The sums live in locals, not in ch, so they stay in registers
+	// across the rules.
 	var cpu, mem, cost float64
 	for i := range t.rules[:t.n] {
 		r := &t.rules[i]
@@ -273,5 +276,7 @@ func (t *Tariff) Charge(f *Flavor, u Usage) Charge {
 		}
 		cost += amount * r.price
 	}
-	return Charge{BillableTime: bt, CPUSeconds: cpu, MemGBSeconds: mem, ResourceCost: cost, Fee: t.fee}
+	// Field by field: a composite literal would be built on the stack
+	// and copied into *ch.
+	ch.BillableTime, ch.CPUSeconds, ch.MemGBSeconds, ch.ResourceCost, ch.Fee = bt, cpu, mem, cost, t.fee
 }

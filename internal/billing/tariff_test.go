@@ -193,7 +193,8 @@ func TestTariffMatchesReference(t *testing.T) {
 			r := &reqs[i]
 			want := refBill(m, refMapRequest(m, *r))
 			f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
-			if got := tf.Charge(&f, RequestUsage(r)); !sameCharge(got, want) {
+			var got Charge
+			if tf.Charge(&f, RequestUsage(r), &got); !sameCharge(got, want) {
 				t.Fatalf("%s request %d (%+v): Charge = %+v, reference %+v", m.Platform, i, *r, got, want)
 			}
 			inv := MapRequest(m, *r)

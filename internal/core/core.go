@@ -245,10 +245,11 @@ func (a *Analyzer) AnalyzeTrace(tr *trace.Trace) (Report, error) {
 	cold := 0
 	var fracSum float64
 	tf := billing.Compile(p.Billing)
+	var ch billing.Charge
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
-		ch := tf.Charge(&f, billing.RequestUsage(r))
+		tf.Charge(&f, billing.RequestUsage(r), &ch)
 		billedCPU += ch.CPUSeconds
 		billedMem += ch.MemGBSeconds
 		actualCPU += r.ActualCPUSeconds()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -63,13 +65,14 @@ func reportJSON(t *testing.T, rep Report) string {
 }
 
 // TestSimulateGroupMatchesStream pins SimulateGroup's contract: in a
-// group of any size, each configuration's report is byte-identical to
-// its own SimulateStream replay, at one worker and at three. The
-// groups mix placement policy, TTL, overcommit, elasticity and
+// group of any size, replayed at 1, 2, 3 or GOMAXPROCS (0) workers,
+// each configuration's report is byte-identical to its own one-worker
+// SimulateStream replay, which itself matches its three-worker replay.
+// The groups mix placement policy, TTL, overcommit, elasticity and
 // keep-alive mode; one family shares a host count and replays a chaos
 // fault plan, the other mixes host counts without faults. They run on
 // steady, flash-crowd and a four-tenant mix, in rotating positions, so
-// no configuration can lean on its place in the group.
+// no configuration can lean on its place in the group or its shard.
 func TestSimulateGroupMatchesStream(t *testing.T) {
 	families := []struct {
 		name     string
@@ -144,20 +147,22 @@ func TestSimulateGroupMatchesStream(t *testing.T) {
 				}
 				n := len(fam.variants)
 				for size := 1; size <= n; size++ {
-					members := make([]int, size)
-					cfgs := make([]Config, size)
-					for j := range members {
-						members[j] = (size - 1 + j) % n
-						cfgs[j] = fam.variants[members[j]].config(t, fp, 1)
-					}
-					reps, err := SimulateGroup(context.Background(), cfgs, plan.Source())
-					if err != nil {
-						t.Fatalf("group %v: %v", members, err)
-					}
-					for j, m := range members {
-						if got := reportJSON(t, reps[j]); got != want[m] {
-							t.Errorf("group %v: variant %d's report differs from its own replay\ngroup:  %s\nstream: %s",
-								members, m, got, want[m])
+					for _, workers := range []int{1, 2, 3, 0} {
+						members := make([]int, size)
+						cfgs := make([]Config, size)
+						for j := range members {
+							members[j] = (size - 1 + j) % n
+							cfgs[j] = fam.variants[members[j]].config(t, fp, workers)
+						}
+						reps, err := SimulateGroup(context.Background(), cfgs, plan.Source())
+						if err != nil {
+							t.Fatalf("group %v at %d workers: %v", members, workers, err)
+						}
+						for j, m := range members {
+							if got := reportJSON(t, reps[j]); got != want[m] {
+								t.Errorf("group %v at %d workers: variant %d's report differs from its own replay\ngroup:  %s\nstream: %s",
+									members, workers, m, got, want[m])
+							}
 						}
 					}
 				}
@@ -167,9 +172,10 @@ func TestSimulateGroupMatchesStream(t *testing.T) {
 }
 
 // TestSimulateGroupSharesOnePass pins what a group saves: however many
-// configurations it replays, the source is scanned once and each
-// request pulled once, and the configurations' pods are 32-byte
-// records over one shared copy of the pod metadata.
+// configurations it replays, on one worker or sharded over several,
+// the source is scanned once and each request pulled once, and the
+// configurations' pods are 32-byte records over one shared copy of the
+// pod metadata.
 func TestSimulateGroupSharesOnePass(t *testing.T) {
 	if size := unsafe.Sizeof(pod{}); size > 32 {
 		t.Errorf("pod is %d bytes, want at most 32: a group holds one per pod per configuration", size)
@@ -187,18 +193,21 @@ func TestSimulateGroupSharesOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c pullCounter
-	cfgs := []Config{
-		streamTestConfig(t, "least-loaded", 1),
-		streamTestConfig(t, "bin-pack", 1),
-		streamTestConfig(t, "round-robin", 1),
-	}
-	if _, err := SimulateGroup(context.Background(), cfgs, c.source(plan.Source())); err != nil {
-		t.Fatal(err)
-	}
-	if c.opens != 2 || c.scans != 1 || c.pulls != scfg.Base.Requests {
-		t.Errorf("group of %d: %d opens, %d scans, %d pulls; want 2 opens, 1 scan, %d pulls",
-			len(cfgs), c.opens, c.scans, c.pulls, scfg.Base.Requests)
+	var cfgs []Config
+	for _, workers := range []int{1, 3} {
+		var c pullCounter
+		cfgs = []Config{
+			streamTestConfig(t, "least-loaded", workers),
+			streamTestConfig(t, "bin-pack", workers),
+			streamTestConfig(t, "round-robin", workers),
+		}
+		if _, err := SimulateGroup(context.Background(), cfgs, c.source(plan.Source())); err != nil {
+			t.Fatal(err)
+		}
+		if c.opens != 2 || c.scans != 1 || c.pulls != scfg.Base.Requests {
+			t.Errorf("group of %d at %d workers: %d opens, %d scans, %d pulls; want 2 opens, 1 scan, %d pulls",
+				len(cfgs), workers, c.opens, c.scans, c.pulls, scfg.Base.Requests)
+		}
 	}
 
 	s, err := plan.Source()()
@@ -224,9 +233,11 @@ func TestSimulateGroupSharesOnePass(t *testing.T) {
 }
 
 // TestSimulateGroupRejects pins SimulateGroup's input contract: an
-// empty group, a configuration that fails Validate, any worker count
-// other than 1 (zero included: it means GOMAXPROCS), and nil arguments
-// fail the call before the source is opened.
+// empty group, a configuration that fails Validate, configurations
+// that disagree on Workers (zero, which means GOMAXPROCS, disagrees
+// even with the count it stands for), and nil arguments fail the call
+// before the source is opened. A group that agrees on any worker count
+// replays.
 func TestSimulateGroupRejects(t *testing.T) {
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = 500
@@ -239,10 +250,11 @@ func TestSimulateGroupRejects(t *testing.T) {
 	bad := streamTestConfig(t, "least-loaded", 1)
 	bad.Hosts = 0
 	for name, cfgs := range map[string][]Config{
-		"empty":     nil,
-		"invalid":   {good, bad},
-		"workers=0": {good, streamTestConfig(t, "bin-pack", 0)},
-		"workers=3": {streamTestConfig(t, "bin-pack", 3)},
+		"empty":       nil,
+		"invalid":     {good, bad},
+		"workers=1,0": {good, streamTestConfig(t, "bin-pack", 0)},
+		"workers=3,1": {streamTestConfig(t, "bin-pack", 3), good},
+		"workers=0,N": {streamTestConfig(t, "bin-pack", 0), streamTestConfig(t, "bin-pack", runtime.GOMAXPROCS(0))},
 	} {
 		if _, err := SimulateGroup(context.Background(), cfgs, src); err == nil {
 			t.Errorf("%s: group accepted", name)
@@ -257,6 +269,72 @@ func TestSimulateGroupRejects(t *testing.T) {
 	}
 	if opened != 0 {
 		t.Errorf("rejected groups opened the source %d times", opened)
+	}
+	for _, workers := range []int{0, 3} {
+		cfgs := []Config{streamTestConfig(t, "least-loaded", workers), streamTestConfig(t, "bin-pack", workers)}
+		if _, err := SimulateGroup(context.Background(), cfgs, src); err != nil {
+			t.Errorf("group agreeing on %d workers: %v", workers, err)
+		}
+	}
+}
+
+// TestSimulateGroupCancelSharded pins cancellation of a sharded group:
+// cancelling ctx mid-replay returns ctx.Err() within cancelCheckMask+1
+// further pulls, and every shard goroutine has returned by the time
+// the call does. Each shard's exit is held back a little, so a replay
+// that returned without closing its shards' channels, or without
+// waiting for them, would return before every shard is counted out.
+func TestSimulateGroupCancelSharded(t *testing.T) {
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 200_000
+	gen.Seed = 20260613
+	var exited atomic.Int64
+	shardExitHook = func() {
+		time.Sleep(20 * time.Millisecond)
+		exited.Add(1)
+	}
+	defer func() { shardExitHook = nil }()
+
+	for _, workers := range []int{2, 3} {
+		exited.Store(0)
+		var pulls atomic.Int64
+		ctx, cancel := context.WithCancel(context.Background())
+		// The stream has no pod scan, so pass 1 pulls every request once;
+		// the cancel lands mid pass 2, with batches in flight.
+		trigger := int64(gen.Requests + 50_000)
+		src := func() (trace.Stream, error) {
+			s, err := trace.GenerateSource(gen)()
+			if err != nil {
+				return nil, err
+			}
+			return &cancelAtStream{inner: s, pulls: &pulls, at: trigger, cancel: cancel}, nil
+		}
+		cfgs := []Config{
+			streamTestConfig(t, "least-loaded", workers),
+			streamTestConfig(t, "bin-pack", workers),
+			streamTestConfig(t, "round-robin", workers),
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := SimulateGroup(ctx, cfgs, src)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("workers=%d: cancelled group did not return", workers)
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled SimulateGroup: got %v, want context.Canceled", workers, err)
+		}
+		if got, max := pulls.Load(), trigger+cancelCheckMask+1; got > max {
+			t.Errorf("workers=%d: cancelled group pulled %d events, want <= %d", workers, got, max)
+		}
+		if got := exited.Load(); got != int64(workers) {
+			t.Errorf("workers=%d: %d of %d shard goroutines had returned when the call did", workers, got, workers)
+		}
 	}
 }
 

@@ -564,8 +564,9 @@ func (s *hostSim) arrive(now time.Duration, p *pod, r *trace.Request) {
 	if cold {
 		u.InitDuration = init
 	}
-	ch := s.cfg.tariff.Charge(&s.cfg.flavors[p.flavor], u)
-	s.res.cost += ch.Total()
+	var ch billing.Charge
+	s.cfg.tariff.Charge(&s.cfg.flavors[p.flavor], u, &ch)
+	s.res.cost += ch.ResourceCost + ch.Fee // ch.Total(), without copying ch into its receiver
 	s.res.fees += ch.Fee
 	s.res.billedCPUSeconds += ch.CPUSeconds
 	s.res.billedMemGBs += ch.MemGBSeconds

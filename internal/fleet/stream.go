@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slscost/internal/trace"
@@ -18,20 +19,21 @@ import (
 // the request count. Simulate is this pipeline over a materialized
 // trace.
 //
-// The pipeline makes two passes over the source. Pass 1 builds
-// per-pod placement metadata (flavor, first arrival, last turnaround
-// end, request count — everything placeAll needs, and nothing
-// per-request), then runs the sequential placement pass. Pass 2
-// re-opens the source and hands each request, still in global arrival
-// order, to its host. With several workers it routes requests into
-// per-shard bounded channels, and shard workers advance their hosts'
-// private clocks concurrently with generation, so host simulation
-// overlaps trace synthesis instead of waiting for it. With one, it
-// feeds the hosts inline, and can feed several configurations from
-// one pull (SimulateGroup): the metadata the replay reads is
-// read-only, so every configuration places its own pods over one copy. Per-host
-// results are merged in host order, so the report is independent of
-// the worker count and of the group.
+// The pipeline makes two passes over the source, for one configuration
+// or a group of them (SimulateGroup) alike. Pass 1 builds per-pod
+// placement metadata (flavor, first arrival, last turnaround end,
+// request count — everything placeAll needs, and nothing per-request),
+// then runs each configuration's sequential placement pass. The
+// metadata the replay reads is read-only, so every configuration
+// places its own pods over one copy, and a pod is known by its slot
+// in it. Pass 2 re-opens the source and hands each request, still in
+// global arrival order, to its host in every configuration. With
+// several workers it routes (pod slot, request) items into per-shard
+// bounded channels, and shard workers advance the hosts they own
+// concurrently with generation, so host simulation overlaps trace
+// synthesis instead of waiting for it. With one, it feeds the hosts
+// inline. Per-host results are merged in host order, so each report
+// is independent of the worker count and of the group.
 
 const (
 	// streamBatchSize is how many requests travel per channel send;
@@ -50,11 +52,11 @@ const (
 	cancelCheckMask = 0x3ff
 )
 
-// streamItem is one routed request: the pod carries the placement
-// decision, the request the work.
+// streamItem is one routed request: its pod's slot, which indexes
+// every configuration's pods, and the request.
 type streamItem struct {
-	p *pod
-	r trace.Request
+	slot int32
+	r    trace.Request
 }
 
 // podIndex resolves request pod IDs to their slot in the scanned pod
@@ -297,13 +299,13 @@ func place(cfg Config, metas []trace.PodMeta, tab *podTable) placement {
 
 // SimulateStream replays a re-openable request stream through the
 // cluster and returns the cluster-wide report, identical for any
-// worker count, without ever holding the trace in memory. The source
-// is opened twice (the placement scan and the replay must see the same
-// sequence; for seeded generators reopening just re-derives the
-// stream). With more than one worker, host workers simulate
+// worker count, without ever holding the trace in memory. It is
+// SimulateGroup's replay with one configuration: the source is opened
+// twice (the placement scan and the replay must see the same sequence;
+// for seeded generators reopening just re-derives the stream), and with
+// more than one worker the hosts simulate on shard goroutines
 // concurrently with the second pass, so trace synthesis and cluster
-// replay overlap; with one, the replay is SimulateGroup's loop over
-// the one configuration.
+// replay overlap.
 //
 // Cancelling ctx makes the call return ctx.Err() promptly: both passes
 // poll the context every cancelCheckMask+1 requests, so a cancelled
@@ -318,150 +320,28 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 	if err := checkCall(ctx, src); err != nil {
 		return Report{}, err
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		// Single worker: feed the sims inline. No goroutines, channels, or
-		// batch copies — the feeder/worker handoff only buys overlap when
-		// there is a second CPU to overlap onto, and the report is
-		// worker-count independent either way.
-		reps, errs, err := replayGroup(ctx, []Config{cfg}, src)
-		if err != nil {
-			return Report{}, err
-		}
-		return reps[0], errs[0]
-	}
-
-	// Pass 1: placement. Pod metadata is the only thing retained.
-	metas, total, idx, err := scanSource(ctx, src)
+	reps, errs, err := replay(ctx, []Config{cfg}, src)
 	if err != nil {
 		return Report{}, err
 	}
-	tab := podMetas(metas)
-	pl := place(cfg, metas, tab)
-	hc := newHostCfg(cfg, tab)
-	results := make([]hostResult, cfg.Hosts)
-
-	// Pass 2: route the stream into per-shard bounded channels; workers
-	// advance their hosts while the feeder is still generating.
-	shards := make([]chan []streamItem, workers)
-	for i := range shards {
-		shards[i] = make(chan []streamItem, streamChannelDepth)
-	}
-	// Drained batches recycle through a free list that dies with this
-	// call. A process-wide sync.Pool would keep them, and the *pod
-	// pointers in their backing arrays, past the next GC: one stale
-	// pointer into the shared pod array pins every pod, sandbox and
-	// decider of a finished simulation. The list is a stack, so the
-	// feeder refills the most recently drained batch, the one likeliest
-	// still in cache.
-	var freeMu sync.Mutex
-	var free [][]streamItem
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sims := make(map[int]*hostSim)
-			for batch := range shards[w] {
-				for i := range batch {
-					it := &batch[i]
-					sim := sims[it.p.host]
-					if sim == nil {
-						sim = newHostSim(hc, it.p.host)
-						sim.seedFaults(it.p.host)
-						sims[it.p.host] = sim
-					}
-					sim.feed(it.p, &it.r)
-				}
-				freeMu.Lock()
-				free = append(free, batch[:0])
-				freeMu.Unlock()
-			}
-			for h, sim := range sims {
-				results[h] = sim.finish()
-			}
-		}(w)
-	}
-	abort := func(err error) (Report, error) {
-		for _, ch := range shards {
-			close(ch)
-		}
-		wg.Wait()
-		return Report{}, err
-	}
-
-	s2, err := src()
-	if err != nil {
-		return abort(err)
-	}
-	batches := make([][]streamItem, workers)
-	next := trace.NextIntoFunc(s2)
-	seen := 0
-	var r trace.Request
-	for next(&r) {
-		if seen&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return abort(err)
-			}
-		}
-		seen++
-		i := idx.get(r.PodID)
-		if i < 0 {
-			return abort(unknownPod(r.PodID))
-		}
-		p := &pl.pods[i]
-		if p.host < 0 {
-			continue
-		}
-		sh := p.host % workers
-		b := batches[sh]
-		if b == nil {
-			freeMu.Lock()
-			if n := len(free); n > 0 {
-				b, free = free[n-1], free[:n-1]
-			}
-			freeMu.Unlock()
-			if b == nil {
-				b = make([]streamItem, 0, streamBatchSize)
-			}
-		}
-		b = append(b, streamItem{p: p, r: r})
-		if len(b) >= streamBatchSize {
-			shards[sh] <- b
-			b = nil
-		}
-		batches[sh] = b
-	}
-	if seen != total {
-		return abort(countChanged(total, seen))
-	}
-	for sh, b := range batches {
-		if len(b) > 0 {
-			shards[sh] <- b
-		}
-		close(shards[sh])
-	}
-	wg.Wait()
-
-	return mergeReport(cfg, workers, total, pl.ps, pl.rejectedReqs, results)
+	return reps[0], errs[0]
 }
 
 // SimulateGroup replays one source through several cluster
 // configurations at once. It scans the source's pods once into
 // metadata every configuration shares, places them once per
-// configuration, then pulls each request once and feeds it to every
-// configuration's hosts in turn, on the calling goroutine. Each report
-// is byte-identical to SimulateStream(ctx, cfgs[i], src) at Workers=1:
-// the configurations share the input, never state.
+// configuration, then pulls each request once and hands it to every
+// configuration's host for its pod. The configurations' (configuration,
+// host) pairs are spread over Workers shards, as one configuration's
+// hosts are by SimulateStream. Each report is byte-identical to
+// SimulateStream(ctx, cfgs[i], src): the configurations share the
+// input, never state.
 //
-// Every configuration must pass Validate and set Workers to exactly 1;
-// otherwise the call fails before opening the source. A failure that
-// is a configuration's own — a cluster that served nothing — returns
-// every report with a *GroupError naming it, and the other reports are
+// Every configuration must pass Validate, and all must set the same
+// Workers, the group's shard count (zero means GOMAXPROCS); otherwise
+// the call fails before opening the source. A failure that is a
+// configuration's own — a cluster that served nothing — returns every
+// report with a *GroupError naming it, and the other reports are
 // valid. Any other error, such as a cancelled ctx (polled as by
 // SimulateStream), fails the whole group.
 func SimulateGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Report, error) {
@@ -472,14 +352,14 @@ func SimulateGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Repo
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("%w (group configuration %d)", err, i)
 		}
-		if cfg.Workers != 1 {
-			return nil, fmt.Errorf("fleet: group configuration %d has %d workers; a group replays on its caller's goroutine, so each must have 1", i, cfg.Workers)
+		if cfg.Workers != cfgs[0].Workers {
+			return nil, fmt.Errorf("fleet: group configuration %d has %d workers, configuration 0 has %d; a group's configurations share its shards", i, cfg.Workers, cfgs[0].Workers)
 		}
 	}
 	if err := checkCall(ctx, src); err != nil {
 		return nil, err
 	}
-	reps, errs, err := replayGroup(ctx, cfgs, src)
+	reps, errs, err := replay(ctx, cfgs, src)
 	if err != nil {
 		return nil, err
 	}
@@ -525,11 +405,67 @@ func checkCall(ctx context.Context, src trace.Source) error {
 	return nil
 }
 
-// replayGroup is the inline replay, the one loop behind SimulateGroup
-// and SimulateStream's single-worker path. It returns each
+// member is one configuration's share of a replay: its placement, its
+// compiled host configuration, and its hosts. Host h's sim and result
+// are written only by the shard that owns (member, h).
+type member struct {
+	cfg Config
+	placement
+	hc      *hostCfg
+	sims    []*hostSim
+	results []hostResult
+}
+
+// replayer is one replay's state: the members, the shard that owns
+// each of their pods, and with more than one shard, a bounded channel
+// of batches into each shard goroutine and the free list the drained
+// batches come back through.
+type replayer struct {
+	ms     []member
+	shards int
+	// owner[slot*len(ms)+k] is the shard that owns the host of member
+	// k's pod at slot, or -1 where k rejected the pod. It is fixed at
+	// placement and slot-major, so routing a request reads one line
+	// nobody writes during the replay, not every member's live pod.
+	owner []int32
+	in    []chan []streamItem
+	wg    sync.WaitGroup
+	// stop tells the shards that the replay failed: they drop what is
+	// still queued and finish no host.
+	stop atomic.Bool
+	// Drained batches recycle through a free list that dies with this
+	// call. The list is a stack, so the feeder refills the most recently
+	// drained batch, the one likeliest still in cache. Batches hold pod
+	// slots and requests, no pointers, so a batch outliving the call
+	// would pin nothing.
+	freeMu sync.Mutex
+	free   [][]streamItem
+}
+
+// replay is the replay loop behind SimulateStream and SimulateGroup,
+// for one configuration or many, at any worker count. Pass 1 scans the
+// source once and places it once per configuration. Pass 2 pulls each
+// request once and hands it, with its pod slot, to each shard that
+// owns its pod's host in some configuration; every shard feeds the
+// request to those of its hosts. Shard w owns host h of configuration
+// k when (k+h) mod shards is w, fixed at placement in a slot-major
+// table, so the feeder routes a request with one read of one line.
+// With one shard the feeder places and feeds the hosts itself: no
+// goroutines, channels or batch copies, since the hand-off only buys
+// overlap when there is a second CPU to overlap onto. With several,
+// each shard goroutine first places every shards-th configuration, so
+// a group's placements run side by side too. replay returns each
 // configuration's report and merge error; the error return is for
 // failures of the shared input or the context.
-func replayGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Report, []error, error) {
+func replay(ctx context.Context, cfgs []Config, src trace.Source) ([]Report, []error, error) {
+	workers := cfgs[0].Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pairs := 0 // (configuration, host) pairs, the most shards that get work
+	for _, cfg := range cfgs {
+		pairs += cfg.Hosts
+	}
 	// Pass 1: one scan, one placement per configuration. The full scan
 	// is dead once placed; the replay keeps only the shared podMetas.
 	metas, total, idx, err := scanSource(ctx, src)
@@ -537,66 +473,221 @@ func replayGroup(ctx context.Context, cfgs []Config, src trace.Source) ([]Report
 		return nil, nil, err
 	}
 	tab := podMetas(metas)
-	pls := make([]placement, len(cfgs))
-	hcs := make([]*hostCfg, len(cfgs))
-	sims := make([][]*hostSim, len(cfgs))
-	for k, cfg := range cfgs {
-		pls[k] = place(cfg, metas, tab)
-		hcs[k] = newHostCfg(cfg, tab)
-		sims[k] = make([]*hostSim, cfg.Hosts)
+	rp := &replayer{
+		ms:     make([]member, len(cfgs)),
+		shards: min(workers, pairs),
+		owner:  make([]int32, len(metas)*len(cfgs)),
+	}
+	placeFrom := func(k int) {
+		for ; k < len(cfgs); k += rp.shards {
+			rp.placeMember(k, cfgs[k], metas, tab)
+		}
+	}
+	inline := rp.shards == 1
+	if inline {
+		placeFrom(0)
+	} else {
+		var placed sync.WaitGroup
+		placed.Add(rp.shards)
+		rp.in = make([]chan []streamItem, rp.shards)
+		for w := range rp.in {
+			rp.in[w] = make(chan []streamItem, streamChannelDepth)
+			rp.wg.Add(1)
+			go rp.shard(int32(w), func() {
+				placeFrom(w)
+				placed.Done()
+			})
+		}
+		placed.Wait()
 	}
 
-	// Pass 2: each request is pulled once and fed to every
-	// configuration's host for its pod.
+	// Pass 2.
 	s, err := src()
 	if err != nil {
-		return nil, nil, err
+		return rp.abort(err)
 	}
+	g := len(cfgs)
+	batches := make([][]streamItem, rp.shards)
+	routed := make([]int, rp.shards) // the last request routed to each shard, by seen
 	next := trace.NextIntoFunc(s)
 	seen := 0
 	var r trace.Request
 	for next(&r) {
 		if seen&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return rp.abort(err)
 			}
 		}
 		seen++
 		i := idx.get(r.PodID)
 		if i < 0 {
-			return nil, nil, unknownPod(r.PodID)
+			return rp.abort(unknownPod(r.PodID))
 		}
-		for k := range pls {
-			p := &pls[k].pods[i]
-			if p.host < 0 {
+		if inline {
+			rp.feed(0, i, &r)
+			continue
+		}
+		for _, sh := range rp.owner[i*g : i*g+g] {
+			if sh < 0 || routed[sh] == seen {
 				continue
 			}
-			sim := sims[k][p.host]
-			if sim == nil {
-				sim = newHostSim(hcs[k], p.host)
-				sim.seedFaults(p.host)
-				sims[k][p.host] = sim
+			routed[sh] = seen
+			b := batches[sh]
+			if b == nil {
+				b = rp.batch()
 			}
-			sim.feed(p, &r)
+			n := len(b)
+			b = b[:n+1]
+			b[n].slot, b[n].r = int32(i), r
+			if n+1 == streamBatchSize {
+				rp.in[sh] <- b
+				b = nil
+			}
+			batches[sh] = b
 		}
 	}
 	if seen != total {
-		return nil, nil, countChanged(total, seen)
+		return rp.abort(countChanged(total, seen))
 	}
+	for sh, b := range batches {
+		if len(b) > 0 {
+			rp.in[sh] <- b
+		}
+	}
+	if inline {
+		rp.finish(0)
+	}
+	rp.close()
 
 	reps := make([]Report, len(cfgs))
 	errs := make([]error, len(cfgs))
-	for k, cfg := range cfgs {
-		results := make([]hostResult, cfg.Hosts)
-		for h, sim := range sims[k] {
-			if sim != nil {
-				results[h] = sim.finish()
-			}
-		}
-		sims[k] = nil // let this configuration's hosts go before the next merge
-		reps[k], errs[k] = mergeReport(cfg, 1, total, pls[k].ps, pls[k].rejectedReqs, results)
+	for k := range rp.ms {
+		m := &rp.ms[k]
+		reps[k], errs[k] = mergeReport(m.cfg, workers, total, m.ps, m.rejectedReqs, m.results)
+		*m = member{} // let this configuration's pods and hosts go before the next merge
 	}
 	return reps, errs, nil
+}
+
+// placeMember runs configuration k's placement pass and records which
+// shard owns each of its placed pods.
+func (rp *replayer) placeMember(k int, cfg Config, metas []trace.PodMeta, tab *podTable) {
+	m := &rp.ms[k]
+	*m = member{
+		cfg:       cfg,
+		placement: place(cfg, metas, tab),
+		hc:        newHostCfg(cfg, tab),
+		sims:      make([]*hostSim, cfg.Hosts),
+		results:   make([]hostResult, cfg.Hosts),
+	}
+	g := len(rp.ms)
+	for i, p := range m.pods {
+		sh := int32(-1)
+		if p.host >= 0 {
+			sh = rp.ownerOf(k, p.host)
+		}
+		rp.owner[i*g+k] = sh
+	}
+}
+
+// ownerOf is the shard that simulates host h of configuration k.
+// Offsetting by k spreads the busiest low-numbered hosts of a packing
+// policy over the shards.
+func (rp *replayer) ownerOf(k, h int) int32 { return int32((k + h) % rp.shards) }
+
+// batch returns an empty batch, recycled when one is free.
+func (rp *replayer) batch() []streamItem {
+	rp.freeMu.Lock()
+	defer rp.freeMu.Unlock()
+	if n := len(rp.free); n > 0 {
+		b := rp.free[n-1]
+		rp.free = rp.free[:n-1]
+		return b
+	}
+	return make([]streamItem, 0, streamBatchSize)
+}
+
+// shardExitHook, when set, runs as each shard goroutine returns,
+// before the replay can see it gone: a test seam for checking that no
+// shard outlives its replay.
+var shardExitHook func()
+
+// shard is shard w's goroutine: after its share of pass 1 (setup), it
+// feeds its batches to its hosts and, when the feeder closes its
+// channel, finishes them.
+func (rp *replayer) shard(w int32, setup func()) {
+	defer rp.wg.Done()
+	if shardExitHook != nil {
+		defer shardExitHook()
+	}
+	setup()
+	for b := range rp.in[w] {
+		if !rp.stop.Load() {
+			for i := range b {
+				rp.feed(w, int(b[i].slot), &b[i].r)
+			}
+		}
+		rp.freeMu.Lock()
+		rp.free = append(rp.free, b[:0])
+		rp.freeMu.Unlock()
+	}
+	if !rp.stop.Load() {
+		rp.finish(w)
+	}
+}
+
+// feed hands one request to shard w's hosts: to the host of the
+// request's pod, at slot, in every configuration whose pod w owns.
+func (rp *replayer) feed(w int32, slot int, r *trace.Request) {
+	g := len(rp.ms)
+	for k, sh := range rp.owner[slot*g : slot*g+g] {
+		if sh != w {
+			continue
+		}
+		m := &rp.ms[k]
+		p := &m.pods[slot]
+		sim := m.sims[p.host]
+		if sim == nil {
+			sim = newHostSim(m.hc, p.host)
+			sim.seedFaults(p.host)
+			m.sims[p.host] = sim
+		}
+		sim.feed(p, r)
+	}
+}
+
+// finish drains shard w's hosts into their results, dropping each
+// host's state as it goes.
+func (rp *replayer) finish(w int32) {
+	for k := range rp.ms {
+		m := &rp.ms[k]
+		for h := range m.sims {
+			if rp.ownerOf(k, h) != w {
+				continue // another shard's host: its slot is that shard's to read
+			}
+			if sim := m.sims[h]; sim != nil {
+				m.results[h] = sim.finish()
+				m.sims[h] = nil
+			}
+		}
+	}
+}
+
+// close ends pass 2: it closes the shards' channels and waits until
+// every shard goroutine has returned.
+func (rp *replayer) close() {
+	for _, ch := range rp.in {
+		close(ch)
+	}
+	rp.wg.Wait()
+}
+
+// abort stops the shards, waits for them, and fails the replay with
+// err.
+func (rp *replayer) abort(err error) ([]Report, []error, error) {
+	rp.stop.Store(true)
+	rp.close()
+	return nil, nil, err
 }
 
 // unknownPod and countChanged are pass 2's errors for a source whose

@@ -549,10 +549,9 @@ func TestSimulateStreamPullsScenarioOnce(t *testing.T) {
 }
 
 // TestSimulateStreamReleasesRun pins that a finished multi-worker
-// simulation leaves nothing of itself reachable. Its routed batches
-// hold *pod pointers into the pod array every pod shares, so one batch
-// kept past the call (a sync.Pool keeps its contents through the next
-// GC) pins every pod, sandbox and decider of the run.
+// simulation leaves nothing of itself reachable: no shard goroutine,
+// batch or host of the run may keep its pods, sandboxes and deciders
+// alive past the call.
 func TestSimulateStreamReleasesRun(t *testing.T) {
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = 500_000

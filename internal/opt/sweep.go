@@ -41,9 +41,10 @@ type Config struct {
 	// match), so sweeps that vary Candidate.Hosts must leave it nil and
 	// compile per-candidate instead.
 	Faults *faults.Plan
-	// Workers bounds how many evaluations run concurrently; zero means
-	// GOMAXPROCS. Each evaluation itself runs single-threaded, so the
-	// pool is the only parallelism — and it never affects any result.
+	// Workers is how many goroutines simulate at once; zero means
+	// GOMAXPROCS. They run groups of evaluations side by side, one
+	// worker each, or one group at a time sharded over all of them
+	// (dispatch). It never affects any result.
 	Workers int
 	// Planner, when non-nil, supplies the compiled plan for each
 	// scenario instead of a fresh Scenario.Compile — the hook the
@@ -122,7 +123,7 @@ func (c Candidate) fleetConfig(cfg Config) (fleet.Config, error) {
 		Host:       cfg.Host,
 		Policy:     pol,
 		Profile:    prof,
-		Workers:    1, // parallelism lives in the sweep pool, not the shards
+		Workers:    1, // evaluateGroup sets its group's shard count
 		Overcommit: c.Overcommit,
 		Elastic:    c.Elastic,
 		Seed:       cfg.Seed,
@@ -178,7 +179,7 @@ type SweepResult struct {
 // functions placed by index. Each scenario is compiled exactly once
 // per sweep (or fetched through cfg.Planner) and shared read-only by
 // every candidate's evaluation; candidates evaluated on the same
-// scenario replay in pairs from one synthesis (evaluateRange).
+// scenario replay in groups from one synthesis (evaluateRange).
 //
 // Cancelling ctx abandons the sweep and returns ctx.Err() promptly:
 // workers stop picking up evaluations and the running ones unwind
@@ -363,25 +364,37 @@ func compilePlans(cfg Config) ([]*scenario.Plan, error) {
 	return plans, nil
 }
 
-// maxGroup caps how many grid slots of one scenario a worker replays
-// together through fleet.SimulateGroup, which synthesizes and scans the
+// maxGroup caps how many grid slots of one scenario share each worker
+// of a fleet.SimulateGroup replay, which synthesizes and scans the
 // scenario once for the whole group instead of once per slot. Memory,
 // not CPU, sets the cap: a sweep evaluation runs near the Go
 // collector's 4 MB heap floor with 1–3 MB live, so each configuration
-// a group adds shows in the process's peak RSS. With pods sharing their
-// metadata and histograms grown on demand, one configuration's live
-// state is about 0.37 MB at 50k requests and 16 hosts, against 0.89 MB
-// before, so a pair fits where one evaluation used to. Larger groups
-// raise the peak: in the repository benchmark's sweep workload on a
-// 2-vCPU Xeon, groups of three cut another 9% of the op time but read
-// +6% median peak RSS against pairs, and +23% at worst.
+// live at once shows in the process's peak RSS. With pods sharing
+// their metadata and histograms grown on demand, one configuration's
+// live state is about 0.37 MB at 50k requests and 16 hosts, so two
+// per worker fit where one evaluation used to. More raise the peak: in
+// the repository benchmark's sweep workload on a 2-vCPU Xeon, groups
+// of three per worker (run side by side, before groups were sharded)
+// cut another 9% of the op time but read +6% median peak RSS against
+// pairs, and +23% at worst.
 const maxGroup = 2
 
-// groupSize is the slots per group for a range of n slots on a pool of
-// workers: pairs while they still leave every worker a group, single
-// slots when pairing would idle part of the pool.
-func groupSize(n, workers int) int {
-	return max(1, min(maxGroup, n/workers))
+// dispatch is how evaluateRange replays a range of n slots over nScen
+// scenarios on a pool of workers: groups of up to size slots that
+// share a scenario, each replayed over shards fleet workers, pool
+// groups at a time. Every configuration of a group is live for the
+// whole replay, so at most maxGroup × workers are live at once either
+// way. When every scenario of the range has a slot per worker, one
+// group at a time runs sharded over all of them: the scenario is
+// synthesized once per maxGroup × workers slots. Otherwise the groups
+// run side by side on one worker each, in pairs while pairing still
+// leaves every worker a group: a lone configuration's sharded replay
+// is bound by its one feeder, which synthesizes for all its shards.
+func dispatch(n, nScen, workers int) (pool, shards, size int) {
+	if n/nScen >= workers {
+		return 1, workers, maxGroup * workers
+	}
+	return workers, 1, max(1, min(maxGroup, n/workers))
 }
 
 // groupSlots splits the slots [0, n) of the range starting at grid
@@ -407,8 +420,8 @@ func groupSlots(start, n, nScen, size int) [][]int {
 
 // evaluateRange runs the grid-index range [start, end) of the
 // (candidate × scenario) job matrix over the bounded pool, in groups
-// of slots that share a scenario (groupSlots). Results are placed by
-// grid index, so both the success and the failure path are
+// of slots that share a scenario (dispatch, groupSlots). Results are
+// placed by grid index, so both the success and the failure path are
 // deterministic in the worker count and the grouping. Completed
 // results are handed to cfg.OnResult in index order behind a
 // watermark, so row streaming is deterministic too. A cancelled ctx
@@ -447,9 +460,10 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 		}
 	}
 
+	pool, shards, size := dispatch(n, nScen, cfg.Workers)
 	jobCh := make(chan []int)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -461,12 +475,12 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 					continue
 				}
 				si := (start + slots[0]) % nScen
-				evaluateGroup(ctx, cfg, cands, start, slots, cfg.Scenarios[si], plans[si], results, errs)
+				evaluateGroup(ctx, cfg, cands, start, slots, shards, cfg.Scenarios[si], plans[si], results, errs)
 				emit(slots)
 			}
 		}()
 	}
-	for _, slots := range groupSlots(start, n, nScen, groupSize(n, cfg.Workers)) {
+	for _, slots := range groupSlots(start, n, nScen, size) {
 		jobCh <- slots
 	}
 	close(jobCh)
@@ -494,11 +508,11 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 
 // evaluateGroup runs one group of slots — one candidate each, all on
 // scenario sc — through a single fleet.SimulateGroup replay of the
-// compiled plan, and writes each slot's result or error, extracting
-// the objectives. Each candidate's configuration is built and
-// validated on its own first, so a candidate that fails fails only its
-// own slot.
-func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int, slots []int, sc scenario.Scenario, plan *scenario.Plan, results []Result, errs []error) {
+// compiled plan over shards workers, and writes each slot's result or
+// error, extracting the objectives. Each candidate's configuration is
+// built and validated on its own first, so a candidate that fails
+// fails only its own slot.
+func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int, slots []int, shards int, sc scenario.Scenario, plan *scenario.Plan, results []Result, errs []error) {
 	nScen := len(cfg.Scenarios)
 	cand := func(k int) Candidate { return cands[(start+k)/nScen] }
 	fail := func(k int, err error) {
@@ -516,6 +530,7 @@ func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int
 			fail(k, err)
 			continue
 		}
+		fc.Workers = shards
 		live = append(live, k)
 		fcs = append(fcs, fc)
 	}
@@ -535,8 +550,11 @@ func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int
 			fail(k, ge.Errs[i])
 			continue
 		}
+		// A row reports its candidate's own configuration, one worker
+		// per evaluation: the group's shards are the pool's workers,
+		// which never show in a sweep's output.
 		rep := reps[i]
-		rep.Scenario = plan.Name()
+		rep.Scenario, rep.Workers = plan.Name(), 1
 		results[k] = Result{
 			Candidate:  cand(k),
 			Scenario:   sc.Name,

@@ -90,9 +90,10 @@ func TestSweepShapeAndOrdering(t *testing.T) {
 // TestSweepWorkerCountIndependence is the load-bearing determinism
 // property: the sweep's serialized output — the full CSV grid, the
 // JSON document, and the rendered Pareto frontier — is byte-identical
-// whatever the worker count. On the 8-slot grid, 1 to 4 workers replay
-// the slots in pairs that share a scenario and 8 workers one by one,
-// so the output is also independent of the grouping.
+// whatever the worker count. On the 8-slot grid, 1 worker replays the
+// slots in pairs that share a scenario, 2 to 4 workers in fours
+// sharded over every worker, and 8 workers one by one, so the output is
+// also independent of the grouping and the sharding.
 func TestSweepWorkerCountIndependence(t *testing.T) {
 	type encoded struct{ csv, json, text string }
 	encode := func(workers int) encoded {
@@ -341,8 +342,9 @@ func TestSweepRangeShardsConcatenateToFullGrid(t *testing.T) {
 // lowest one) went bad. The failure is provoked by a fault plan
 // compiled for the default pool while half the grid pins a different
 // host count — those evaluations fail at fleet validation. At one and
-// two workers the 4-slot grid replays in pairs that put each failing
-// candidate beside a healthy one, which must not fail with it.
+// two workers the 4-slot grid replays in pairs (sharded over both
+// workers at two) that put each failing candidate beside a healthy
+// one, which must not fail with it.
 func TestSweepErrorAggregatesGridIndices(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -422,35 +424,90 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
-// TestGroupSlotsPairScenarios pins the grouping rule: slots that share
-// a scenario go in pairs while that still leaves every worker a group,
-// one by one otherwise, and groups come out ordered by their lowest
-// slot, the order the pool dispatches them in.
+// TestGroupSlotsPairScenarios pins the dispatch and grouping rule. A
+// range whose every scenario has a slot per worker replays one group
+// at a time, sharded over every worker, in groups of up to maxGroup ×
+// workers slots; a range with fewer slots of a scenario than workers
+// replays side by side at one worker per group, in pairs while that
+// still leaves every worker a group. Either way no more than maxGroup
+// × workers configurations are live at once, and groups come out
+// ordered by their lowest slot, the order the pool dispatches them in.
+// Sweep rows keep Report.Workers at 1 whatever the shard count.
 func TestGroupSlotsPairScenarios(t *testing.T) {
 	for _, tc := range []struct {
 		start, n, nScen, workers int
+		pool, shards             int
 		want                     string
 	}{
-		{0, 8, 2, 1, "[[0 2] [1 3] [4 6] [5 7]]"},
-		{0, 8, 2, 4, "[[0 2] [1 3] [4 6] [5 7]]"},
-		{0, 8, 2, 8, "[[0] [1] [2] [3] [4] [5] [6] [7]]"},
-		{0, 48, 2, 2, "pairs"},
-		{3, 4, 2, 2, "[[0 2] [1 3]]"},
-		{0, 3, 2, 1, "[[0 2] [1]]"},
-		{0, 3, 3, 1, "[[0] [1] [2]]"},
-		{1, 5, 1, 2, "[[0 1] [2 3] [4]]"},
+		{0, 8, 2, 1, 1, 1, "[[0 2] [1 3] [4 6] [5 7]]"},
+		{0, 8, 2, 4, 1, 4, "[[0 2 4 6] [1 3 5 7]]"},
+		{0, 8, 2, 8, 8, 1, "[[0] [1] [2] [3] [4] [5] [6] [7]]"},
+		{0, 48, 2, 2, 1, 2, "fours"},
+		{3, 4, 2, 2, 1, 2, "[[0 2] [1 3]]"},
+		{0, 5, 2, 2, 1, 2, "[[0 2 4] [1 3]]"},
+		{0, 3, 2, 1, 1, 1, "[[0 2] [1]]"},
+		{0, 3, 3, 1, 1, 1, "[[0] [1] [2]]"},
+		{1, 5, 1, 2, 1, 2, "[[0 1 2 3] [4]]"},
+		{0, 3, 2, 2, 2, 1, "[[0] [1] [2]]"}, // a scenario with fewer slots than workers
+		{0, 2, 2, 4, 4, 1, "[[0] [1]]"},     // refinement's evalMean: one slot per scenario
+		{5, 1, 2, 4, 4, 1, "[[0]]"},         // a one-slot distributed shard
+		{0, 6, 2, 4, 4, 1, "[[0] [1] [2] [3] [4] [5]]"},
+		{0, 12, 2, 4, 1, 4, "[[0 2 4 6 8 10] [1 3 5 7 9 11]]"},
 	} {
-		got := groupSlots(tc.start, tc.n, tc.nScen, groupSize(tc.n, tc.workers))
-		if tc.want == "pairs" {
+		pool, shards, size := dispatch(tc.n, tc.nScen, tc.workers)
+		if pool != tc.pool || shards != tc.shards {
+			t.Errorf("%+v: %d groups at a time over %d shards each, want %d over %d", tc, pool, shards, tc.pool, tc.shards)
+		}
+		got := groupSlots(tc.start, tc.n, tc.nScen, size)
+		if tc.want == "fours" {
 			for _, g := range got {
-				if len(g) != 2 {
-					t.Errorf("%+v: group %v, want every group a pair", tc, g)
+				if len(g) != 4 {
+					t.Errorf("%+v: group %v, want every group four slots", tc, g)
 				}
 			}
 			continue
 		}
 		if s := fmt.Sprint(got); s != tc.want {
 			t.Errorf("%+v: groups %s, want %s", tc, s, tc.want)
+		}
+	}
+
+	// Over every small range shape: groups never exceed maxGroup ×
+	// workers slots, a sharded group is the only one in flight, and a
+	// range with fewer slots of a scenario than workers runs its groups
+	// one worker each.
+	for workers := 1; workers <= 5; workers++ {
+		for nScen := 1; nScen <= 3; nScen++ {
+			for n := 1; n <= 30; n++ {
+				pool, shards, size := dispatch(n, nScen, workers)
+				if shards > 1 && pool != 1 {
+					t.Errorf("n=%d nScen=%d workers=%d: %d sharded groups in flight at once", n, nScen, workers, pool)
+				}
+				if pool*shards > workers {
+					t.Errorf("n=%d nScen=%d workers=%d: %d groups over %d shards oversubscribe the pool", n, nScen, workers, pool, shards)
+				}
+				if n/nScen < workers && shards != 1 {
+					t.Errorf("n=%d nScen=%d workers=%d: scenarios have fewer slots than workers, yet groups run over %d shards", n, nScen, workers, shards)
+				}
+				for _, g := range groupSlots(0, n, nScen, size) {
+					if len(g) > maxGroup*workers {
+						t.Errorf("n=%d nScen=%d workers=%d: group of %d slots", n, nScen, workers, len(g))
+					}
+					if pool*len(g) > maxGroup*workers {
+						t.Errorf("n=%d nScen=%d workers=%d: %d groups of %d configurations live at once", n, nScen, workers, pool, len(g))
+					}
+				}
+			}
+		}
+	}
+
+	sr, err := Sweep(context.Background(), testConfig(t, 2), testSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sr.Results {
+		if r.Report.Workers != 1 {
+			t.Fatalf("%s on %s: row reports %d workers, want 1", r.Candidate.Key(), r.Scenario, r.Report.Workers)
 		}
 	}
 }

@@ -801,7 +801,8 @@ func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostI
 			u.InitDuration = init
 		}
 		f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
-		ch := tf.Charge(&f, u)
+		var ch billing.Charge
+		tf.Charge(&f, u, &ch)
 		h.cost += ch.Total()
 		h.fees += ch.Fee
 		h.billedCPUSeconds += ch.CPUSeconds
