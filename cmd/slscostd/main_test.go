@@ -143,6 +143,45 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
+// TestDaemonSurvivesHostileSizes submits fleet.simulate jobs asking
+// for 2^50 hosts and 2^50 tenants: each fails with its limit named
+// instead of panicking on an allocation sized from the spec, and the
+// daemon goes on to run the next job.
+func TestDaemonSurvivesHostileSizes(t *testing.T) {
+	client, _ := startDaemon(t)
+	ctx := context.Background()
+	run := func(params string) api.Event {
+		t.Helper()
+		seed := uint64(7)
+		st, err := client.Submit(ctx, api.JobSpec{Method: "fleet.simulate", Seed: &seed, Params: json.RawMessage(params)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var final api.Event
+		err = client.Stream(ctx, st.ID, func(_ []byte, ev api.Event) error {
+			if ev.Type == api.EventDone {
+				final = ev
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+	for _, tc := range []struct{ params, limit string }{
+		{`{"hosts":1125899906842624,"requests":2000}`, "limit of 4096"},
+		{`{"tenants":1125899906842624,"requests":2000}`, "function budget"},
+	} {
+		if ev := run(tc.params); ev.State != "failed" || !strings.Contains(ev.Error, tc.limit) {
+			t.Fatalf("%s: job ended %q (error %q), want failed naming %q", tc.params, ev.State, ev.Error, tc.limit)
+		}
+	}
+	if ev := run(`{"hosts":4,"requests":2000}`); ev.State != "done" {
+		t.Fatalf("job after the hostile ones ended %q (error %q)", ev.State, ev.Error)
+	}
+}
+
 // TestDaemonGracefulDrain checks shutdown waits for a running job.
 func TestDaemonGracefulDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

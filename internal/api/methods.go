@@ -181,10 +181,10 @@ func (rt *Runtime) countingSource(src trace.Source) trace.Source {
 	}
 }
 
-// simulateSource resolves SimulateParams (defaults already applied)
-// to the trace source a simulate or verify job replays, compiling
-// scenarios through the daemon's plan cache. The returned label is
-// the report's scenario name ("" for raw).
+// simulateSource resolves SimulateParams to the trace source a
+// simulate or verify job replays, compiling scenarios through the
+// daemon's plan cache. The returned label is the report's scenario
+// name ("" for raw).
 func (rt *Runtime) simulateSource(p SimulateParams) (fleet.Config, trace.Source, string, error) {
 	fc, sc, scfg, err := SimulateConfigs(p, rt.Seed)
 	if err != nil {
@@ -215,7 +215,6 @@ func runSimulateJob(ctx context.Context, rt *Runtime, params json.RawMessage) er
 	if err := DecodeParams(params, &p); err != nil {
 		return err
 	}
-	p = p.withDefaults()
 	fc, src, label, err := rt.simulateSource(p)
 	if err != nil {
 		return err
@@ -233,7 +232,6 @@ func runVerifyJob(ctx context.Context, rt *Runtime, params json.RawMessage) erro
 	if err := DecodeParams(params, &p); err != nil {
 		return err
 	}
-	p = p.withDefaults()
 	fc, src, label, err := rt.simulateSource(p)
 	if err != nil {
 		return err

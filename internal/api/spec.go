@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -203,6 +204,55 @@ type SweepParams struct {
 	KeepAliveModes []string `json:"keepalive_modes,omitempty"`
 }
 
+// MaxHosts is the largest host pool a job may ask for. Both resolvers
+// check it before anything is sized by the host count: the fault
+// compiler, the placement pass and the oracle all allocate per host.
+// It is 64 times the largest pool in use (64 hosts).
+const MaxHosts = 4096
+
+// resolve checks what SimulateParams shares with SweepParams, defaults
+// applied, and the scenario configuration it yields against each of
+// scs (none for a raw trace). Only then does it compile the fault spec
+// for p.Hosts hosts, so nothing is sized from an unchecked number. It
+// returns the shared part of the fleet configuration (pool, host
+// shape, platform, fault plan, seed) and the scenario configuration.
+// fleet.Config.Validate, which every replay runs, checks the host
+// shape.
+func (p SimulateParams) resolve(seed uint64, scs []scenario.Scenario) (fleet.Config, scenario.Config, error) {
+	fail := func(err error) (fleet.Config, scenario.Config, error) { return fleet.Config{}, scenario.Config{}, err }
+	prof, ok := core.ProfileByName(p.Platform)
+	switch {
+	case !ok:
+		return fail(fmt.Errorf("unknown platform %q", p.Platform))
+	case p.Hosts < 1:
+		return fail(fmt.Errorf("hosts %d below 1", p.Hosts))
+	case p.Hosts > MaxHosts:
+		return fail(fmt.Errorf("hosts %d above the limit of %d", p.Hosts, MaxHosts))
+	case p.Tenants < 1:
+		return fail(fmt.Errorf("tenants %d below 1", p.Tenants))
+	case p.Horizon < 0:
+		return fail(fmt.Errorf("horizon %v negative", time.Duration(p.Horizon)))
+	}
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = p.Requests
+	gen.Seed = seed
+	if err := gen.Validate(); err != nil {
+		return fail(err)
+	}
+	scfg := scenario.Config{Base: gen, Horizon: time.Duration(p.Horizon), Tenants: p.Tenants}
+	for _, sc := range scs {
+		if err := sc.Validate(scfg); err != nil {
+			return fail(err)
+		}
+	}
+	plan, err := faults.Compile(p.Faults, p.Hosts, scfg.EffectiveHorizon(), seed)
+	if err != nil {
+		return fail(err)
+	}
+	host := fleet.HostSpec{VCPU: p.HostVCPU, MemMB: p.HostMemMB}
+	return fleet.Config{Hosts: p.Hosts, Host: host, Profile: prof, Faults: plan, Seed: seed}, scfg, nil
+}
+
 // DecodeParams strictly decodes a raw params object into dst: unknown
 // fields and trailing data are errors. A nil or empty params is the
 // all-defaults object. Every method decodes its params through it,
@@ -261,100 +311,63 @@ func PlanKey(scenarioName string, scfg scenario.Config) string {
 // SimulateConfigs resolves SimulateParams into the fleet and scenario
 // configurations a run needs. It is the one resolver: the daemon and
 // every fleetsim mode go through it, so remote and in-process runs
-// agree. The fleet Config's Workers is left at zero (GOMAXPROCS).
+// agree. The fleet Config it returns passes Validate; its Workers is
+// left at zero (GOMAXPROCS), which never affects results.
 func SimulateConfigs(p SimulateParams, seed uint64) (fleet.Config, scenario.Scenario, scenario.Config, error) {
-	p = p.withDefaults()
-	prof, ok := core.ProfileByName(p.Platform)
-	if !ok {
-		return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, fmt.Errorf("unknown platform %q", p.Platform)
-	}
-	pol, err := fleet.NewPolicy(p.Policy)
-	if err != nil {
+	fail := func(err error) (fleet.Config, scenario.Scenario, scenario.Config, error) {
 		return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, err
 	}
-	if p.Overcommit < 1 {
-		return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, fmt.Errorf("overcommit %v below 1", p.Overcommit)
-	}
-	if p.Tenants < 1 {
-		return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, fmt.Errorf("tenants %d below 1", p.Tenants)
-	}
-	if p.Horizon < 0 {
-		return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, fmt.Errorf("horizon %v negative", time.Duration(p.Horizon))
-	}
-	var sc scenario.Scenario
+	p = p.withDefaults()
+	var scs []scenario.Scenario
 	if p.Scenario != "raw" {
-		if sc, ok = scenario.ByName(p.Scenario); !ok {
-			return fleet.Config{}, scenario.Scenario{}, scenario.Config{},
-				fmt.Errorf("unknown scenario %q (have %s, or raw)", p.Scenario, strings.Join(scenario.Names(), ", "))
+		sc, ok := scenario.ByName(p.Scenario)
+		if !ok {
+			return fail(fmt.Errorf("unknown scenario %q (have %s, or raw)", p.Scenario, strings.Join(scenario.Names(), ", ")))
 		}
+		scs = []scenario.Scenario{sc}
+	} else if p.Faults != nil {
+		return fail(fmt.Errorf("faults need a scenario horizon to key schedules to; not usable with scenario \"raw\""))
 	}
-	if p.Faults != nil && p.Scenario == "raw" {
-		return fleet.Config{}, scenario.Scenario{}, scenario.Config{},
-			fmt.Errorf("faults need a scenario horizon to key schedules to; not usable with scenario \"raw\"")
+	fc, scfg, err := p.resolve(seed, scs)
+	if err != nil {
+		return fail(err)
 	}
-	gen := trace.DefaultGeneratorConfig()
-	gen.Requests = p.Requests
-	gen.Seed = seed
-	scfg := scenario.Config{Base: gen, Horizon: time.Duration(p.Horizon), Tenants: p.Tenants}
-	fc := fleet.Config{
-		Hosts:      p.Hosts,
-		Host:       fleet.HostSpec{VCPU: p.HostVCPU, MemMB: p.HostMemMB},
-		Policy:     pol,
-		Profile:    prof,
-		Workers:    0, // GOMAXPROCS; never affects results
-		Overcommit: p.Overcommit,
-		Elastic:    p.Elastic,
-		Seed:       seed,
+	if fc.Policy, err = fleet.NewPolicy(p.Policy); err != nil {
+		return fail(err)
 	}
-	if p.Faults != nil {
-		plan, err := faults.Compile(p.Faults, fc.Hosts, scfg.EffectiveHorizon(), seed)
-		if err != nil {
-			return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, err
-		}
-		fc.Faults = plan
-	}
+	fc.Overcommit, fc.Elastic = p.Overcommit, p.Elastic
 	if p.KeepAlive != nil {
 		spec := *p.KeepAlive // the caller's spec stays untouched
 		if spec.Seed == nil {
 			spec.Seed = &seed
 		}
-		if err := spec.Validate(); err != nil {
-			return fleet.Config{}, scenario.Scenario{}, scenario.Config{}, err
-		}
 		fc.KeepAlive = &spec
+	}
+	if err := fc.Validate(); err != nil {
+		return fail(err)
+	}
+	var sc scenario.Scenario
+	if len(scs) > 0 {
+		sc = scs[0]
 	}
 	return fc, sc, scfg, nil
 }
 
 // SweepConfigs resolves SweepParams into the optimizer configuration
 // and candidate space: the one resolver the daemon, the distributed
-// coordinator and fleetsim -sweep share. The opt Config's Workers is
-// left at zero (GOMAXPROCS).
+// coordinator and fleetsim -sweep share. The params it shares with
+// SimulateParams take the same defaults and checks, on the sweep's
+// default pool. The opt Config's Workers is left at zero (GOMAXPROCS);
+// the space is left for opt to validate.
 func SweepConfigs(p SweepParams, seed uint64) (opt.Config, opt.Space, error) {
-	if p.Platform == "" {
-		p.Platform = "aws-lambda"
-	}
-	prof, ok := core.ProfileByName(p.Platform)
-	if !ok {
-		return opt.Config{}, opt.Space{}, fmt.Errorf("unknown platform %q", p.Platform)
-	}
-	if p.Requests == 0 {
-		p.Requests = 200000
-	}
-	if p.Tenants == 0 {
-		p.Tenants = 1
-	}
-	if p.Horizon < 0 {
-		return opt.Config{}, opt.Space{}, fmt.Errorf("horizon %v negative", time.Duration(p.Horizon))
-	}
-	host := fleet.DefaultHostSpec()
-	if p.HostVCPU != 0 {
-		host.VCPU = p.HostVCPU
-	}
-	if p.HostMemMB != 0 {
-		host.MemMB = p.HostMemMB
-	}
 	scs, err := scenario.Subset(p.Scenarios...)
+	if err != nil {
+		return opt.Config{}, opt.Space{}, err
+	}
+	fc, scfg, err := SimulateParams{
+		Platform: p.Platform, Hosts: cmp.Or(p.Hosts, opt.DefaultHosts), Requests: p.Requests, Tenants: p.Tenants,
+		Horizon: p.Horizon, HostVCPU: p.HostVCPU, HostMemMB: p.HostMemMB, Faults: p.Faults,
+	}.withDefaults().resolve(seed, scs)
 	if err != nil {
 		return opt.Config{}, opt.Space{}, err
 	}
@@ -373,27 +386,14 @@ func SweepConfigs(p SweepParams, seed uint64) (opt.Config, opt.Space, error) {
 	if len(p.KeepAliveModes) > 0 {
 		space.KeepAliveModes = p.KeepAliveModes
 	}
-	gen := trace.DefaultGeneratorConfig()
-	gen.Requests = p.Requests
-	gen.Seed = seed
 	cfg := opt.Config{
-		Profile:   prof,
-		Host:      host,
-		Hosts:     p.Hosts,
+		Profile:   fc.Profile,
+		Host:      fc.Host,
+		Hosts:     p.Hosts, // zero keeps opt's default, the pool the fault plan was compiled for
 		Scenarios: scs,
-		Scenario:  scenario.Config{Base: gen, Horizon: time.Duration(p.Horizon), Tenants: p.Tenants},
+		Scenario:  scfg,
+		Faults:    fc.Faults,
 		Seed:      seed,
-	}
-	if p.Faults != nil {
-		hosts := cfg.Hosts
-		if hosts == 0 {
-			hosts = opt.DefaultHosts
-		}
-		plan, err := faults.Compile(p.Faults, hosts, cfg.Scenario.EffectiveHorizon(), seed)
-		if err != nil {
-			return opt.Config{}, opt.Space{}, err
-		}
-		cfg.Faults = plan
 	}
 	return cfg, space, nil
 }

@@ -2,12 +2,15 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"slscost/internal/keepalive"
 	"slscost/internal/scenario"
+	"slscost/internal/scenario/faults"
 	"slscost/internal/trace"
 )
 
@@ -172,6 +175,145 @@ func TestSimulateConfigsDefaults(t *testing.T) {
 	}
 }
 
+func u64(v uint64) *uint64   { return &v }
+func f64(v float64) *float64 { return &v }
+
+// TestDecodeParamsSpecs: the fault and keep-alive specs a job carries
+// decode through DecodeParams, the one decoder of job params, to the
+// specs they spell.
+func TestDecodeParamsSpecs(t *testing.T) {
+	keepAlive := []struct {
+		in   string
+		want keepalive.Spec
+	}{
+		{`{"mode":"static"}`, keepalive.Spec{Mode: keepalive.ModeStatic}},
+		{`{"mode":"adaptive","seed":7}`, keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: u64(7)}},
+		{`{"mode":"adaptive","seed":7,"max_idle":"90m","bin_width":"30s","fallback":"5m"}`,
+			keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: u64(7), MaxIdle: "90m", BinWidth: "30s", Fallback: "5m"}},
+		{`{"mode":"bandit","seed":1,"epsilon":0.25,"cold_cost":120}`,
+			keepalive.Spec{Mode: keepalive.ModeBandit, Seed: u64(1), Epsilon: f64(0.25), ColdCost: f64(120)}},
+	}
+	for _, tc := range keepAlive {
+		var p SimulateParams
+		if err := DecodeParams(json.RawMessage(`{"keepalive":`+tc.in+`}`), &p); err != nil {
+			t.Errorf("%s: %v", tc.in, err)
+			continue
+		}
+		if !reflect.DeepEqual(*p.KeepAlive, tc.want) {
+			t.Errorf("%s: decoded %+v, want %+v", tc.in, *p.KeepAlive, tc.want)
+		}
+		if _, _, _, err := SimulateConfigs(p, 1); err != nil {
+			t.Errorf("%s: %v", tc.in, err)
+		}
+	}
+	var p SimulateParams
+	if err := DecodeParams(json.RawMessage(`{"faults":{"crash":{"rate":2,"restart":"90s"},"storm":{"at":0.5}}}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	if c := p.Faults.Crash; c.Rate != 2 || time.Duration(c.Restart) != 90*time.Second || p.Faults.Storm.At != 0.5 {
+		t.Fatalf("decoded %+v", p.Faults)
+	}
+}
+
+// TestDecodeParamsRejectsMalformedSpecs pins the strictness of job
+// params all the way down the fault and keep-alive specs they carry:
+// unknown fields, trailing data, numeric or malformed durations and a
+// spec that is not an object are decode errors.
+func TestDecodeParamsRejectsMalformedSpecs(t *testing.T) {
+	cases := []struct{ name, params string }{
+		{"faults unknown field", `{"faults":{"crash":{"rate":2,"restart":"90s","typo":1}}}`},
+		{"faults trailing data", `{"faults":{"storm":{"at":0.5}}}{"faults":{"storm":{"at":0.6}}}`},
+		{"faults numeric duration", `{"faults":{"crash":{"rate":2,"restart":90}}}`},
+		{"faults malformed duration", `{"faults":{"crash":{"rate":2,"restart":"ninety"}}}`},
+		{"faults array", `{"faults":[]}`},
+		{"keepalive unknown field", `{"keepalive":{"mode":"static","ttl":"60s"}}`},
+		{"keepalive trailing data", `{"keepalive":{"mode":"static"}} {}`},
+		{"keepalive not json", `{"keepalive":mode=adaptive}`},
+		{"keepalive array", `{"keepalive":[]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var p SimulateParams
+			if err := DecodeParams(json.RawMessage(tc.params), &p); err == nil {
+				t.Fatalf("accepted %s", tc.params)
+			}
+		})
+	}
+}
+
+// TestSimulateConfigsRejectsBadSpecs: specs that decode but do not
+// validate fail to resolve. A fault spec's rejection is a typed
+// *faults.SpecError naming the field, through the resolver as on its
+// own; an adaptive keep-alive spec without a seed is accepted on
+// purpose, because it inherits the job's.
+func TestSimulateConfigsRejectsBadSpecs(t *testing.T) {
+	resolve := func(params string) error {
+		var p SimulateParams
+		if err := DecodeParams(json.RawMessage(params), &p); err != nil {
+			t.Fatalf("%s: %v", params, err)
+		}
+		_, _, _, err := SimulateConfigs(p, 1)
+		return err
+	}
+	for _, tc := range []struct{ params, field string }{
+		{`{"faults":{"crash":{"rate":-3}}}`, "crash.rate"},
+		{`{"faults":{"drains":[{"from":0.1,"to":0.6},{"from":0.5,"to":0.9}]}}`, "drains[1]"},
+	} {
+		var se *faults.SpecError
+		if err := resolve(tc.params); !errors.As(err, &se) || se.Field != tc.field {
+			t.Errorf("%s: error %v, want a *faults.SpecError on %s", tc.params, err, tc.field)
+		}
+	}
+	for _, params := range []string{
+		`{"keepalive":{"mode":"thompson","seed":1}}`,
+		`{"keepalive":{"seed":1}}`,
+		`{"keepalive":{"mode":"static","epsilon":0.1}}`,
+		`{"keepalive":{"mode":"adaptive","max_idle":"ninety minutes"}}`,
+		`{"keepalive":{"mode":"bandit","epsilon":1.5}}`,
+	} {
+		if err := resolve(params); err == nil {
+			t.Errorf("%s: resolved", params)
+		}
+	}
+	if err := resolve(`{"keepalive":{"mode":"adaptive"}}`); err != nil {
+		t.Errorf("adaptive spec without a seed: %v", err)
+	}
+}
+
+// TestResolversCapHosts pins MaxHosts in both resolvers: a pool at the
+// limit resolves, with a fault plan compiled for it, and a larger one
+// fails with the limit named before any per-host allocation. Without
+// the check 2^50 hosts resolve, and with faults they panic compiling
+// the plan.
+func TestResolversCapHosts(t *testing.T) {
+	chaos, err := faults.ByName("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []*faults.Spec{nil, &chaos.Spec} {
+		fc, _, _, err := SimulateConfigs(SimulateParams{Hosts: MaxHosts, Faults: spec}, 1)
+		if err != nil {
+			t.Fatalf("simulate at the limit: %v", err)
+		}
+		if spec != nil && fc.Faults.Hosts() != MaxHosts {
+			t.Fatalf("fault plan compiled for %d hosts", fc.Faults.Hosts())
+		}
+		if _, _, err := SweepConfigs(SweepParams{Hosts: MaxHosts, Faults: spec}, 1); err != nil {
+			t.Fatalf("sweep at the limit: %v", err)
+		}
+		for _, hosts := range []int{MaxHosts + 1, 1 << 50} {
+			if _, _, _, err := SimulateConfigs(SimulateParams{Hosts: hosts, Faults: spec}, 1); err == nil ||
+				!strings.Contains(err.Error(), "limit") {
+				t.Errorf("simulate with %d hosts: %v, want the limit named", hosts, err)
+			}
+			if _, _, err := SweepConfigs(SweepParams{Hosts: hosts, Faults: spec}, 1); err == nil ||
+				!strings.Contains(err.Error(), "limit") {
+				t.Errorf("sweep with %d hosts: %v, want the limit named", hosts, err)
+			}
+		}
+	}
+}
+
 func TestSimulateConfigsRejects(t *testing.T) {
 	tests := []struct {
 		name string
@@ -188,6 +330,30 @@ func TestSimulateConfigsRejects(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, _, err := SimulateConfigs(tc.p, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSweepConfigsRejects: the sweep resolver runs the checks the
+// simulate resolver runs on the params they share.
+func TestSweepConfigsRejects(t *testing.T) {
+	tests := []struct {
+		name string
+		p    SweepParams
+		want string
+	}{
+		{"platform", SweepParams{Platform: "nope"}, "unknown platform"},
+		{"hosts", SweepParams{Hosts: -1}, "below 1"},
+		{"requests", SweepParams{Requests: -1}, "negative request count"},
+		{"tenants", SweepParams{Tenants: -1}, "below 1"},
+		{"horizon", SweepParams{Horizon: Duration(-time.Second)}, "negative"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := SweepConfigs(tc.p, 1)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}

@@ -85,6 +85,10 @@ func Start(cfg CoordinatorConfig, addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The grid sizes the shard table, so it is checked first.
+	if err := space.Validate(); err != nil {
+		return nil, err
+	}
 	canonical, err := cfg.Spec.Canonical()
 	if err != nil {
 		return nil, err

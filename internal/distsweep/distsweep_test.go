@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +115,29 @@ func TestShardRangesCoverGrid(t *testing.T) {
 		if next != tc.jobs {
 			t.Fatalf("shardRanges(%d, %d): covers %d jobs", tc.jobs, tc.shards, next)
 		}
+	}
+}
+
+// TestStartRejectsOversizedGrid: a coordinator sizes its shard table
+// from the grid, so a grid over opt.MaxCandidates fails Start with the
+// limit named. Without the check these 2^45 evaluations in as many
+// shards panic on the table's allocation.
+func TestStartRejectsOversizedGrid(t *testing.T) {
+	spec := testSpec()
+	const k = 1 << 11 // 2^44 candidates over two scenarios
+	spec.Sweep.Policies = make([]string, k)
+	spec.Sweep.TTLs = make([]string, k)
+	spec.Sweep.Overcommits = make([]float64, k)
+	spec.Sweep.KeepAliveModes = make([]string, k)
+	for i := range k {
+		spec.Sweep.Policies[i] = "random"
+		spec.Sweep.TTLs[i] = "1s"
+		spec.Sweep.Overcommits[i] = 1
+		spec.Sweep.KeepAliveModes[i] = "static"
+	}
+	_, err := Start(CoordinatorConfig{Spec: spec, Dir: t.TempDir(), Shards: 1 << 45}, "127.0.0.1:0")
+	if err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("Start = %v, want the grid limit named", err)
 	}
 }
 

@@ -418,8 +418,7 @@ type member struct {
 
 // replayer is one replay's state: the members, the shard that owns
 // each of their pods, and with more than one shard, a bounded channel
-// of batches into each shard goroutine and the free list the drained
-// batches come back through.
+// of batches into each shard goroutine.
 type replayer struct {
 	ms     []member
 	shards int
@@ -433,14 +432,12 @@ type replayer struct {
 	// stop tells the shards that the replay failed: they drop what is
 	// still queued and finish no host.
 	stop atomic.Bool
-	// Drained batches recycle through a free list that dies with this
-	// call. The list is a stack, so the feeder refills the most recently
-	// drained batch, the one likeliest still in cache. Batches hold pod
-	// slots and requests, no pointers, so a batch outliving the call
-	// would pin nothing.
-	freeMu sync.Mutex
-	free   [][]streamItem
 }
+
+// batchPool recycles the hand-off's drained batches across replays.
+// Batches hold pod slots and requests, no pointers, so a pooled batch
+// pins nothing of the replay that filled it.
+var batchPool = sync.Pool{New: func() any { return new([streamBatchSize]streamItem) }}
 
 // replay is the replay loop behind SimulateStream and SimulateGroup,
 // for one configuration or many, at any worker count. Pass 1 scans the
@@ -534,7 +531,7 @@ func replay(ctx context.Context, cfgs []Config, src trace.Source) ([]Report, []e
 			routed[sh] = seen
 			b := batches[sh]
 			if b == nil {
-				b = rp.batch()
+				b = batchPool.Get().(*[streamBatchSize]streamItem)[:0]
 			}
 			n := len(b)
 			b = b[:n+1]
@@ -595,18 +592,6 @@ func (rp *replayer) placeMember(k int, cfg Config, metas []trace.PodMeta, tab *p
 // policy over the shards.
 func (rp *replayer) ownerOf(k, h int) int32 { return int32((k + h) % rp.shards) }
 
-// batch returns an empty batch, recycled when one is free.
-func (rp *replayer) batch() []streamItem {
-	rp.freeMu.Lock()
-	defer rp.freeMu.Unlock()
-	if n := len(rp.free); n > 0 {
-		b := rp.free[n-1]
-		rp.free = rp.free[:n-1]
-		return b
-	}
-	return make([]streamItem, 0, streamBatchSize)
-}
-
 // shardExitHook, when set, runs as each shard goroutine returns,
 // before the replay can see it gone: a test seam for checking that no
 // shard outlives its replay.
@@ -627,9 +612,7 @@ func (rp *replayer) shard(w int32, setup func()) {
 				rp.feed(w, int(b[i].slot), &b[i].r)
 			}
 		}
-		rp.freeMu.Lock()
-		rp.free = append(rp.free, b[:0])
-		rp.freeMu.Unlock()
+		batchPool.Put((*[streamBatchSize]streamItem)(b[:streamBatchSize]))
 	}
 	if !rp.stop.Load() {
 		rp.finish(w)

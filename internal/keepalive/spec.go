@@ -1,10 +1,7 @@
 package keepalive
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -45,38 +42,7 @@ const (
 
 	defaultEpsilon  = 0.1
 	defaultColdCost = 60.0
-
-	// maxSpecBytes caps DecodeSpec input; a policy spec is a handful of
-	// scalar fields.
-	maxSpecBytes = 64 << 10
 )
-
-// DecodeSpec strictly decodes a policy spec: unknown fields, trailing
-// data, and oversized input are all errors, and the decoded spec must
-// pass Validate. This is the single entry point for specs arriving
-// over the wire (slscostd) and from the CLI.
-func DecodeSpec(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSpecBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("keepalive: read spec: %w", err)
-	}
-	if len(data) > maxSpecBytes {
-		return nil, fmt.Errorf("keepalive: spec exceeds %d bytes", maxSpecBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("keepalive: decode spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("keepalive: trailing data after spec")
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
 
 // histogram returns the parsed adaptive histogram shape with defaults
 // applied. Call only after Validate.

@@ -1,10 +1,6 @@
 package keepalive
 
 import (
-	"bytes"
-	"encoding/json"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -12,68 +8,51 @@ import (
 func u64(v uint64) *uint64   { return &v }
 func f64(v float64) *float64 { return &v }
 
-func decodeSpec(t *testing.T, s string) (*Spec, error) {
-	t.Helper()
-	return DecodeSpec(strings.NewReader(s))
-}
-
-func TestDecodeSpecAccepts(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
+// TestSpecValidate pins the spec's own checks, which every caller
+// (the job api, fleet.Config.Validate) relies on: the specs the job
+// api decodes from JSON pass, and a bad or empty mode, a missing seed,
+// a knob that belongs to another mode, a bad duration, and an
+// out-of-range epsilon or cold cost are all rejected.
+func TestSpecValidate(t *testing.T) {
+	accepted := []Spec{
+		{Mode: ModeStatic},
+		{Mode: ModeAdaptive, Seed: u64(7)},
+		{Mode: ModeAdaptive, Seed: u64(7), MaxIdle: "90m", BinWidth: "30s", Fallback: "5m"},
+		{Mode: ModeBandit, Seed: u64(1), Epsilon: f64(0.25), ColdCost: f64(120)},
+	}
+	for _, s := range accepted {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+	rejected := []struct {
+		name string
+		spec Spec
 	}{
-		{`{"mode":"static"}`, Spec{Mode: ModeStatic}},
-		{`{"mode":"adaptive","seed":7}`, Spec{Mode: ModeAdaptive, Seed: u64(7)}},
-		{`{"mode":"adaptive","seed":7,"max_idle":"90m","bin_width":"30s","fallback":"5m"}`,
-			Spec{Mode: ModeAdaptive, Seed: u64(7), MaxIdle: "90m", BinWidth: "30s", Fallback: "5m"}},
-		{`{"mode":"bandit","seed":1,"epsilon":0.25,"cold_cost":120}`,
-			Spec{Mode: ModeBandit, Seed: u64(1), Epsilon: f64(0.25), ColdCost: f64(120)}},
+		{"bad-mode", Spec{Mode: "thompson", Seed: u64(1)}},
+		{"empty-mode", Spec{Seed: u64(1)}},
+		// Through the job api an adaptive spec without a seed inherits
+		// the job's; on its own it is rejected.
+		{"adaptive-missing-seed", Spec{Mode: ModeAdaptive}},
+		{"bandit-missing-seed", Spec{Mode: ModeBandit}},
+		{"static-with-histogram-knobs", Spec{Mode: ModeStatic, BinWidth: "15s"}},
+		{"static-with-bandit-knobs", Spec{Mode: ModeStatic, Epsilon: f64(0.1)}},
+		{"adaptive-with-bandit-knobs", Spec{Mode: ModeAdaptive, Seed: u64(1), Epsilon: f64(0.1)}},
+		{"bandit-with-histogram-knobs", Spec{Mode: ModeBandit, Seed: u64(1), MaxIdle: "1h"}},
+		{"unparseable-duration", Spec{Mode: ModeAdaptive, Seed: u64(1), MaxIdle: "ninety minutes"}},
+		{"negative-duration", Spec{Mode: ModeAdaptive, Seed: u64(1), Fallback: "-5m"}},
+		{"zero-bin-width", Spec{Mode: ModeAdaptive, Seed: u64(1), BinWidth: "0s"}},
+		{"max-below-bin", Spec{Mode: ModeAdaptive, Seed: u64(1), MaxIdle: "5s", BinWidth: "10s"}},
+		{"epsilon-above-one", Spec{Mode: ModeBandit, Seed: u64(1), Epsilon: f64(1.5)}},
+		{"negative-epsilon", Spec{Mode: ModeBandit, Seed: u64(1), Epsilon: f64(-0.1)}},
+		{"negative-cold-cost", Spec{Mode: ModeBandit, Seed: u64(1), ColdCost: f64(-3)}},
 	}
-	for _, tc := range cases {
-		got, err := decodeSpec(t, tc.in)
-		if err != nil {
-			t.Errorf("%s: %v", tc.in, err)
-			continue
-		}
-		if !reflect.DeepEqual(*got, tc.want) {
-			t.Errorf("%s: decoded %+v, want %+v", tc.in, *got, tc.want)
-		}
-	}
-}
-
-func TestDecodeSpecRejects(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"unknown-field", `{"mode":"static","ttl":"60s"}`},
-		{"trailing-data", `{"mode":"static"} {}`},
-		{"bad-mode", `{"mode":"thompson","seed":1}`},
-		{"empty-mode", `{"seed":1}`},
-		{"adaptive-missing-seed", `{"mode":"adaptive"}`},
-		{"bandit-missing-seed", `{"mode":"bandit"}`},
-		{"static-with-histogram-knobs", `{"mode":"static","bin_width":"15s"}`},
-		{"static-with-bandit-knobs", `{"mode":"static","epsilon":0.1}`},
-		{"adaptive-with-bandit-knobs", `{"mode":"adaptive","seed":1,"epsilon":0.1}`},
-		{"bandit-with-histogram-knobs", `{"mode":"bandit","seed":1,"max_idle":"1h"}`},
-		{"unparseable-duration", `{"mode":"adaptive","seed":1,"max_idle":"ninety minutes"}`},
-		{"negative-duration", `{"mode":"adaptive","seed":1,"fallback":"-5m"}`},
-		{"zero-bin-width", `{"mode":"adaptive","seed":1,"bin_width":"0s"}`},
-		{"max-below-bin", `{"mode":"adaptive","seed":1,"max_idle":"5s","bin_width":"10s"}`},
-		{"epsilon-above-one", `{"mode":"bandit","seed":1,"epsilon":1.5}`},
-		{"negative-cold-cost", `{"mode":"bandit","seed":1,"cold_cost":-3}`},
-		{"not-json", `mode=adaptive`},
-	}
-	for _, tc := range cases {
-		if _, err := decodeSpec(t, tc.in); err == nil {
-			t.Errorf("%s: accepted %s", tc.name, tc.in)
-		}
-	}
-}
-
-func TestDecodeSpecSizeCap(t *testing.T) {
-	huge := `{"mode":"static","max_idle":"` + strings.Repeat(" ", maxSpecBytes) + `"}`
-	if _, err := DecodeSpec(strings.NewReader(huge)); err == nil {
-		t.Error("oversized spec accepted")
+	for _, tc := range rejected {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.spec.Validate(); err == nil {
+				t.Errorf("accepted %+v", tc.spec)
+			}
+		})
 	}
 }
 
@@ -113,35 +92,4 @@ func TestNewDeciderPerMode(t *testing.T) {
 	if bd.Name() != "bandit" {
 		t.Errorf("bandit decider name = %q", bd.Name())
 	}
-}
-
-// FuzzDecodePolicySpec hardens the wire decoder: no input may panic
-// it, and every accepted spec must round-trip (marshal → decode →
-// equal) so the canonical form the plan cache and sweep keys see is
-// stable.
-func FuzzDecodePolicySpec(f *testing.F) {
-	f.Add([]byte(`{"mode":"static"}`))
-	f.Add([]byte(`{"mode":"adaptive","seed":7}`))
-	f.Add([]byte(`{"mode":"adaptive","seed":7,"max_idle":"90m","bin_width":"30s","fallback":"5m"}`))
-	f.Add([]byte(`{"mode":"bandit","seed":1,"epsilon":0.25,"cold_cost":120}`))
-	f.Add([]byte(`{"mode":"thompson"}`))
-	f.Add([]byte(`{"mode":"static"} {}`))
-	f.Add([]byte(`{"mode":"adaptive","seed":1,"bin_width":"-1s"}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSpec(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		out, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("accepted spec failed to marshal: %v", err)
-		}
-		s2, err := DecodeSpec(bytes.NewReader(out))
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v\nspec: %s", err, out)
-		}
-		if !reflect.DeepEqual(s, s2) {
-			t.Fatalf("round-trip changed spec: %+v vs %+v", s, s2)
-		}
-	})
 }

@@ -21,6 +21,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"slscost/internal/fleet"
@@ -141,30 +142,40 @@ func DefaultSpace() Space {
 	}
 }
 
-// Size returns the number of candidates the space enumerates.
+// MaxCandidates bounds the grid one Space may enumerate, at hundreds
+// of times the default grid of 24. Validate checks Size against it
+// before enumerating anything: a 1 MiB job spec of repeated TTLs and
+// overcommits can otherwise ask for about 10^11 candidates.
+const MaxCandidates = 1 << 14
+
+// Size returns the number of candidates the space enumerates, or
+// math.MaxInt when that number does not fit in an int.
 func (s Space) Size() int {
-	n := len(s.Policies) * len(s.TTLs) * len(s.Overcommits)
-	if len(s.Hosts) > 0 {
-		n *= len(s.Hosts)
-	}
-	if len(s.Elastic) > 0 {
-		n *= len(s.Elastic)
-	}
-	if len(s.KeepAliveModes) > 0 {
-		n *= len(s.KeepAliveModes)
+	n := 1
+	for _, k := range [...]int{
+		len(s.Policies), len(s.TTLs), len(s.Overcommits),
+		max(len(s.Hosts), 1), max(len(s.Elastic), 1), max(len(s.KeepAliveModes), 1),
+	} {
+		if k > 0 && n > math.MaxInt/k {
+			return math.MaxInt
+		}
+		n *= k
 	}
 	return n
 }
 
 // Validate reports whether the space enumerates at least one valid
-// candidate. Duplicate values within a knob list are rejected — they
-// would silently evaluate (and pay for) the same candidates twice and
-// print duplicate rows, the same class of typo scenario.Subset
-// hard-errors on.
+// candidate and at most MaxCandidates. Duplicate values within a knob
+// list are rejected — they would silently evaluate (and pay for) the
+// same candidates twice and print duplicate rows, the same class of
+// typo scenario.Subset hard-errors on.
 func (s Space) Validate() error {
 	if len(s.Policies) == 0 || len(s.TTLs) == 0 || len(s.Overcommits) == 0 {
 		return fmt.Errorf("opt: space needs at least one policy, TTL, and overcommit (have %d/%d/%d)",
 			len(s.Policies), len(s.TTLs), len(s.Overcommits))
+	}
+	if n := s.Size(); n > MaxCandidates {
+		return fmt.Errorf("opt: space enumerates %d candidates, above the limit of %d", n, MaxCandidates)
 	}
 	cands := s.Candidates()
 	seen := make(map[string]bool, len(cands))

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,74 @@ func TestSpaceValidateRejectsGarbage(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("space %d validated but should not have: %+v", i, s)
 		}
+	}
+}
+
+// grid returns a space of every policy × n TTLs × m overcommits, all
+// distinct.
+func grid(n, m int) Space {
+	s := Space{Policies: fleet.PolicyNames()}
+	for i := range n {
+		s.TTLs = append(s.TTLs, time.Duration(i)*time.Second)
+	}
+	for i := range m {
+		s.Overcommits = append(s.Overcommits, 1+float64(i)/8)
+	}
+	return s
+}
+
+// TestSpaceValidateCapsGrid pins MaxCandidates: a grid at the cap
+// validates, one a row past it does not, and neither does a grid whose
+// enumeration alone would not fit in memory — Validate refuses it
+// before allocating a single candidate.
+func TestSpaceValidateCapsGrid(t *testing.T) {
+	at := grid(64, MaxCandidates/4/64)
+	if n := at.Size(); n != MaxCandidates {
+		t.Fatalf("grid at the cap has %d candidates, want %d", n, MaxCandidates)
+	}
+	if err := at.Validate(); err != nil {
+		t.Fatalf("grid at the cap: %v", err)
+	}
+	over := grid(64, MaxCandidates/4/64+1)
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("grid of %d candidates: Validate = %v, want the limit named", over.Size(), err)
+	}
+	// 2^43 candidates: enumerating them would need 2^49 bytes. The knob
+	// lists themselves hold a few hundred values.
+	huge := Space{
+		Policies:       make([]string, 1<<7),
+		TTLs:           make([]time.Duration, 1<<7),
+		Overcommits:    make([]float64, 1<<7),
+		Hosts:          make([]int, 1<<7),
+		Elastic:        make([]bool, 1<<7),
+		KeepAliveModes: make([]string, 1<<8),
+	}
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("grid of %d candidates: Validate = %v, want the limit named", huge.Size(), err)
+	}
+}
+
+// TestSpaceSizeSaturates: a grid whose size does not fit in an int
+// reports math.MaxInt rather than a wrapped count that could slip
+// under the cap.
+func TestSpaceSizeSaturates(t *testing.T) {
+	const k = 1 << 11 // six axes of 2^11 values: 2^66 candidates
+	s := Space{
+		Policies:       make([]string, k),
+		TTLs:           make([]time.Duration, k),
+		Overcommits:    make([]float64, k),
+		Hosts:          make([]int, k),
+		Elastic:        make([]bool, k),
+		KeepAliveModes: make([]string, k),
+	}
+	if n := s.Size(); n != math.MaxInt {
+		t.Fatalf("Size() = %d, want math.MaxInt", n)
+	}
+	if err := s.Validate(); err == nil {
+		t.Fatal("a grid of 2^66 candidates validated")
+	}
+	if n := (Space{Policies: []string{"random"}}).Size(); n != 0 {
+		t.Fatalf("a space without TTLs or overcommits has size %d", n)
 	}
 }
 

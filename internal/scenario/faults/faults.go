@@ -17,7 +17,6 @@
 package faults
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -287,30 +286,4 @@ func (s *Spec) Enabled() bool {
 	return (s.Crash != nil && s.Crash.Rate > 0) ||
 		(s.Preempt != nil && s.Preempt.Rate > 0) ||
 		s.AZOutage != nil || len(s.Drains) > 0 || s.Storm != nil
-}
-
-// DecodeFaultSpec strictly decodes a JSON fault spec: unknown fields,
-// trailing garbage, and malformed durations are decode errors, and the
-// decoded spec must Validate (NaN or negative rates and overlapping
-// drain windows are rejected with typed *SpecError values, however the
-// JSON smuggled them in).
-func DecodeFaultSpec(data []byte) (*Spec, error) {
-	var spec Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return nil, fmt.Errorf("faults: decoding spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("faults: spec has trailing data")
-	}
-	if len(spec.Drains) == 0 {
-		// Canonicalize an explicit empty drain list to the absent form,
-		// so decoded specs round-trip through Marshal byte-identically.
-		spec.Drains = nil
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &spec, nil
 }

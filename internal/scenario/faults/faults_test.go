@@ -73,41 +73,6 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
-// TestDecodeFaultSpecStrictness pins the wire contract: unknown
-// fields, trailing garbage, and malformed durations are all rejected,
-// and validation errors surface as typed *SpecError values.
-func TestDecodeFaultSpecStrictness(t *testing.T) {
-	good := `{"crash":{"rate":2,"restart":"90s"},"storm":{"at":0.5}}`
-	spec, err := DecodeFaultSpec([]byte(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Crash.Rate != 2 || time.Duration(spec.Crash.Restart) != 90*time.Second {
-		t.Fatalf("decoded %+v", spec.Crash)
-	}
-	bad := []struct{ name, body string }{
-		{"unknown field", `{"crash":{"rate":2,"restart":"90s","typo":1}}`},
-		{"trailing data", `{"storm":{"at":0.5}}{"storm":{"at":0.6}}`},
-		{"numeric duration", `{"crash":{"rate":2,"restart":90}}`},
-		{"malformed duration", `{"crash":{"rate":2,"restart":"ninety"}}`},
-		{"array body", `[]`},
-	}
-	for _, c := range bad {
-		if _, err := DecodeFaultSpec([]byte(c.body)); err == nil {
-			t.Errorf("%s: accepted %s", c.name, c.body)
-		}
-	}
-	var se *SpecError
-	if _, err := DecodeFaultSpec([]byte(`{"crash":{"rate":-3}}`)); !errors.As(err, &se) {
-		t.Errorf("negative rate must reject with *SpecError, got %v", err)
-	}
-	if _, err := DecodeFaultSpec([]byte(`{"drains":[{"from":0.1,"to":0.6},{"from":0.5,"to":0.9}]}`)); !errors.As(err, &se) {
-		t.Errorf("overlapping drains must reject with *SpecError, got %v", err)
-	} else if !strings.Contains(se.Field, "drains[1]") {
-		t.Errorf("overlap blamed %q, want drains[1]", se.Field)
-	}
-}
-
 // TestCompileIsPure pins determinism: the same (spec, hosts, horizon,
 // seed) compiles to the identical plan, a different seed moves the
 // rate-driven events, and worker counts never enter the signature at
@@ -212,6 +177,52 @@ func TestZeroRateSpecCompilesEmpty(t *testing.T) {
 	}
 	if nilPlan != nil || !nilPlan.Empty() {
 		t.Fatal("nil spec must compile to a nil (empty) plan")
+	}
+}
+
+// TestCompileEventBudget pins maxEvents: a plan expected to hold it
+// exactly compiles, and one expected to hold more is refused before
+// any event is generated. Without the check the refused plans are
+// small (about 2^20 events) or cannot be allocated at all (2^50 hosts
+// panic on the per-host slice), never a real huge allocation.
+func TestCompileEventBudget(t *testing.T) {
+	// n disjoint drain windows; each schedules four events per host.
+	drains := func(n int) []DrainSpec {
+		out := make([]DrainSpec, n)
+		for i := range out {
+			from := float64(i) / float64(2*n)
+			out[i] = DrainSpec{From: from, To: from + 1/float64(4*n)}
+		}
+		return out
+	}
+	const hosts = 4096
+	if n := expectedEvents(&Spec{Drains: drains(64)}, hosts); n != maxEvents {
+		t.Fatalf("64 drains over %d hosts expect %v events, want the budget %d", hosts, n, maxEvents)
+	}
+	p, err := Compile(&Spec{Drains: drains(64)}, hosts, time.Hour, 1)
+	if err != nil {
+		t.Fatalf("plan at the budget: %v", err)
+	}
+	if p.Events() != maxEvents {
+		t.Fatalf("plan at the budget holds %d events, want %d", p.Events(), maxEvents)
+	}
+	over := []struct {
+		name  string
+		spec  Spec
+		hosts int
+	}{
+		{"one drain more", Spec{Drains: drains(65)}, hosts},
+		{"crash rate", Spec{Crash: &CrashSpec{Rate: maxEvents/128 + 1}}, 64},
+		{"preempt rate", Spec{Preempt: &PreemptSpec{Rate: maxEvents/256 + 1}}, 64},
+		{"storm over 2^50 hosts", Spec{Storm: &StormSpec{At: 0.5}}, 1 << 50},
+	}
+	for _, c := range over {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Compile(&c.spec, c.hosts, time.Hour, 1)
+			if err == nil || !strings.Contains(err.Error(), "limit") {
+				t.Fatalf("Compile = %v, want the event limit named", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -102,6 +103,10 @@ func Compile(spec *Spec, hosts int, horizon time.Duration, seed uint64) (*Plan, 
 	if horizon <= 0 {
 		return nil, fmt.Errorf("faults: non-positive horizon %v", horizon)
 	}
+	if n := expectedEvents(spec, hosts); n > maxEvents {
+		return nil, fmt.Errorf("faults: plan would hold about %.3g events over %d hosts, above the limit of %d",
+			n, hosts, maxEvents)
+	}
 	p := &Plan{
 		hosts:   hosts,
 		horizon: horizon,
@@ -181,6 +186,35 @@ func Compile(spec *Spec, hosts int, horizon time.Duration, seed uint64) (*Plan, 
 		p.total += len(evs)
 	}
 	return p, nil
+}
+
+// maxEvents bounds the events one compiled plan is expected to hold,
+// checked before Compile generates any. 2^20 events (16 MB) is over a
+// thousand times the chaos profile's plan at 64 hosts, the largest
+// host count in use, and 19 times it at 4096; a spec at maxRate over
+// 4096 hosts would otherwise ask for about 10^8.
+const maxEvents = 1 << 20
+
+// expectedEvents is how many events Compile is expected to schedule
+// for spec over hosts hosts: two per crash and four per preemption at
+// the axes' rates, four per host per drain, two per host of the
+// outage's zone, and one per host for a storm.
+func expectedEvents(spec *Spec, hosts int) float64 {
+	h := float64(hosts)
+	n := 4 * float64(len(spec.Drains)) * h
+	if c := spec.Crash; c != nil {
+		n += 2 * c.Rate * h
+	}
+	if pr := spec.Preempt; pr != nil {
+		n += 4 * pr.Rate * h
+	}
+	if a := spec.AZOutage; a != nil {
+		n += 2 * math.Ceil(h/float64(a.Zones))
+	}
+	if spec.Storm != nil {
+		n += h
+	}
+	return n
 }
 
 // closedWindows sweeps a host's sorted events with a depth counter

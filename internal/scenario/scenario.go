@@ -114,14 +114,21 @@ func (s Scenario) Validate(cfg Config) error {
 
 // tenants resolves the effective tenant list: the scenario's own mix,
 // an auto-derived fan-out of cfg.Tenants phase-shifted tenants, or a
-// single whole-volume tenant.
-func (s Scenario) tenants(cfg Config) []Tenant {
-	if len(s.Tenants) > 0 {
-		return s.Tenants
+// single whole-volume tenant. A list longer than the function budget
+// is an error, raised before the fan-out is allocated.
+func (s Scenario) tenants(cfg Config, functions int) ([]Tenant, error) {
+	n := len(s.Tenants)
+	if n == 0 {
+		n = max(cfg.Tenants, 1)
 	}
-	n := cfg.Tenants
-	if n <= 1 {
-		return []Tenant{{Name: s.Name, Weight: 1, Shape: s.Shape}}
+	if n > functions {
+		return nil, fmt.Errorf("scenario: %s: %d tenants exceed the %d-function budget", s.Name, n, functions)
+	}
+	if len(s.Tenants) > 0 {
+		return s.Tenants, nil
+	}
+	if n == 1 {
+		return []Tenant{{Name: s.Name, Weight: 1, Shape: s.Shape}}, nil
 	}
 	// Deterministic fan-out: phases spread over the period, skew and
 	// flavor bias cycling so tenants are distinguishable but the whole
@@ -138,7 +145,7 @@ func (s Scenario) tenants(cfg Config) []Tenant {
 			FlavorBias:   biases[i%len(biases)],
 		}
 	}
-	return out
+	return out, nil
 }
 
 // tenantAlloc is one tenant's resolved slice of the synthesis: its
@@ -157,7 +164,10 @@ type tenantAlloc struct {
 // tenant gets at least one function, and a reservation keeps rounding
 // from pushing later tenants past the budget.
 func (s Scenario) plan(cfg Config) ([]tenantAlloc, error) {
-	tenants := s.tenants(cfg)
+	tenants, err := s.tenants(cfg, max(cfg.Base.Functions, 1))
+	if err != nil {
+		return nil, err
+	}
 
 	var totalWeight float64
 	for _, t := range tenants {
@@ -165,14 +175,6 @@ func (s Scenario) plan(cfg Config) ([]tenantAlloc, error) {
 	}
 	if totalWeight <= 0 {
 		return nil, fmt.Errorf("scenario: %s: tenant weights sum to %v", s.Name, totalWeight)
-	}
-	functionBudget := cfg.Base.Functions
-	if functionBudget <= 0 {
-		functionBudget = 1
-	}
-	if len(tenants) > functionBudget {
-		return nil, fmt.Errorf("scenario: %s: %d tenants exceed the %d-function budget",
-			s.Name, len(tenants), functionBudget)
 	}
 
 	var plans []tenantAlloc

@@ -87,6 +87,18 @@ func TestValidateRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsHugeTenantFanOut: a fan-out far past the function
+// budget fails with the budget named before any tenant is allocated
+// (2^50 tenants cannot be; the allocation would panic).
+func TestCompileRejectsHugeTenantFanOut(t *testing.T) {
+	steady, _ := ByName("steady")
+	cfg := smallConfig(100)
+	cfg.Tenants = 1 << 50
+	if _, err := steady.Compile(cfg); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("Compile = %v, want the function budget named", err)
+	}
+}
+
 func TestShapesAreSaneAndPeriodic(t *testing.T) {
 	shapes := []Shape{
 		Steady{},
