@@ -1,17 +1,26 @@
-package faults
+package faults_test
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
+
+	"slscost/internal/api"
+	"slscost/internal/scenario/faults"
 )
 
-// FuzzDecodeFaultSpec throws arbitrary bytes at the fault-spec decoder
-// — the job API's second untrusted input after the spec envelope — and
-// checks its invariants: no panic, anything accepted re-validates
+// FuzzDecodeFaultSpec throws arbitrary bytes at the fault spec where
+// the job api decodes it: as the "faults" member of simulate params,
+// through api.DecodeParams and api.SimulateConfigs. It checks the
+// invariants there: no panic, a spec the resolver accepts re-validates
 // (NaN/negative rates and overlapping drain windows can never slip
-// through), and an accepted spec survives a marshal/decode round trip
-// unchanged.
+// through) and compiles into a fleet config that passes its own
+// Validate, and accepted params survive a marshal/decode round trip
+// with the spec's JSON form unchanged. (An explicit empty drain list
+// decodes as given and marshals as absent, as omitempty says, so it is
+// the JSON form, not the Go value, that must survive.) api's
+// FuzzResolveParams mutates whole params; this target keeps the
+// mutator on the spec's bytes.
 func FuzzDecodeFaultSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"crash":{"rate":3,"restart":"2m"}}`))
@@ -28,23 +37,50 @@ func FuzzDecodeFaultSpec(f *testing.F) {
 	f.Add([]byte(`{"unknown_axis":true}`))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := DecodeFaultSpec(data)
-		if err != nil {
+		p, ok := resolveFaults(t, append(append([]byte(`{"faults":`), data...), '}'))
+		if !ok || p.Faults == nil {
 			return
 		}
-		if err := spec.Validate(); err != nil {
+		if err := p.Faults.Validate(); err != nil {
 			t.Fatalf("accepted spec fails validation: %v", err)
 		}
-		b, err := json.Marshal(spec)
+		b, err := json.Marshal(p)
 		if err != nil {
-			t.Fatalf("accepted spec does not re-marshal: %v", err)
+			t.Fatalf("accepted params do not re-marshal: %v", err)
 		}
-		again, err := DecodeFaultSpec(b)
-		if err != nil {
-			t.Fatalf("re-marshaled spec %s no longer decodes: %v", b, err)
+		again, ok := resolveFaults(t, b)
+		if !ok {
+			t.Fatalf("re-marshaled params %s no longer resolve", b)
 		}
-		if !reflect.DeepEqual(spec, again) {
-			t.Fatalf("round trip changed the spec: %+v vs %+v", spec, again)
+		if want, got := specJSON(t, p.Faults), specJSON(t, again.Faults); !bytes.Equal(want, got) {
+			t.Fatalf("round trip changed the spec: %s vs %s", want, got)
 		}
 	})
+}
+
+// resolveFaults decodes params and resolves them with a fixed job
+// seed, reporting whether both accepted them. A fleet config the
+// resolver accepts must pass its own Validate.
+func resolveFaults(t *testing.T, params []byte) (api.SimulateParams, bool) {
+	var p api.SimulateParams
+	if api.DecodeParams(params, &p) != nil {
+		return p, false
+	}
+	fc, _, _, err := api.SimulateConfigs(p, 7)
+	if err != nil {
+		return p, false
+	}
+	if err := fc.Validate(); err != nil {
+		t.Fatalf("accepted fleet config fails validation: %v", err)
+	}
+	return p, true
+}
+
+// specJSON marshals a fault spec.
+func specJSON(t *testing.T, s *faults.Spec) []byte {
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("accepted spec does not marshal: %v", err)
+	}
+	return b
 }
