@@ -669,7 +669,7 @@ func runSweep(w io.Writer, ocfg opt.Config, space opt.Space, paretoOnly, refine 
 		if !ok {
 			return fmt.Errorf("empty pareto frontier, nothing to refine")
 		}
-		rr, err := opt.Refine(context.Background(), ocfg, start.Candidate, opt.RefineConfig{})
+		rr, err := opt.Refine(context.Background(), ocfg, start.Candidate)
 		if err != nil {
 			return err
 		}

@@ -42,6 +42,13 @@ import (
 	"slscost/internal/distsweep"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's header. Without it a connection that never finishes its
+// header holds a connection and a goroutine for the daemon's lifetime.
+// The body and the response stay unbounded: a job's event stream is a
+// long-lived NDJSON response.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -98,7 +105,7 @@ func run(ctx context.Context, args []string, w io.Writer, ready chan<- string) e
 		ready <- bound
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

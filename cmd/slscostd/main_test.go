@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -143,17 +146,20 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// TestDaemonSurvivesHostileSizes submits fleet.simulate jobs asking
-// for 2^50 hosts and 2^50 tenants: each fails with its limit named
-// instead of panicking on an allocation sized from the spec, and the
-// daemon goes on to run the next job.
+// TestDaemonSurvivesHostileSizes submits jobs that would size an
+// allocation from the spec: fleet.simulate jobs asking for 2^50 hosts
+// and 2^50 tenants fail with their limit named, and an adaptive
+// keep-alive histogram of 7.2e15 bins or an opt.distsweep job asking
+// for 2^40 workers fails on the unknown field, since neither setting
+// exists. None panics or exhausts memory, and the daemon goes on to
+// run the next job.
 func TestDaemonSurvivesHostileSizes(t *testing.T) {
 	client, _ := startDaemon(t)
 	ctx := context.Background()
-	run := func(params string) api.Event {
+	run := func(method, params string) api.Event {
 		t.Helper()
 		seed := uint64(7)
-		st, err := client.Submit(ctx, api.JobSpec{Method: "fleet.simulate", Seed: &seed, Params: json.RawMessage(params)})
+		st, err := client.Submit(ctx, api.JobSpec{Method: method, Seed: &seed, Params: json.RawMessage(params)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,16 +175,49 @@ func TestDaemonSurvivesHostileSizes(t *testing.T) {
 		}
 		return final
 	}
-	for _, tc := range []struct{ params, limit string }{
-		{`{"hosts":1125899906842624,"requests":2000}`, "limit of 4096"},
-		{`{"tenants":1125899906842624,"requests":2000}`, "function budget"},
+	for _, tc := range []struct{ method, params, limit string }{
+		{"fleet.simulate", `{"hosts":1125899906842624,"requests":2000}`, "limit of 4096"},
+		{"fleet.simulate", `{"tenants":1125899906842624,"requests":2000}`, "function budget"},
+		{"fleet.simulate", `{"keepalive":{"mode":"adaptive","seed":1,"max_idle":"2000000h","bin_width":"1ns"}}`,
+			`unknown field "max_idle"`},
+		{"opt.distsweep", `{"workers":1099511627776}`, `unknown field "workers"`},
 	} {
-		if ev := run(tc.params); ev.State != "failed" || !strings.Contains(ev.Error, tc.limit) {
-			t.Fatalf("%s: job ended %q (error %q), want failed naming %q", tc.params, ev.State, ev.Error, tc.limit)
+		if ev := run(tc.method, tc.params); ev.State != "failed" || !strings.Contains(ev.Error, tc.limit) {
+			t.Fatalf("%s %s: job ended %q (error %q), want failed naming %q", tc.method, tc.params, ev.State, ev.Error, tc.limit)
 		}
 	}
-	if ev := run(`{"hosts":4,"requests":2000}`); ev.State != "done" {
+	if ev := run("fleet.simulate", `{"hosts":4,"requests":2000}`); ev.State != "done" {
 		t.Fatalf("job after the hostile ones ended %q (error %q)", ev.State, ev.Error)
+	}
+}
+
+// TestDaemonClosesStalledHeader opens a raw connection, sends half a
+// request header and waits: the daemon must close the connection once
+// readHeaderTimeout passes, instead of holding it open for a client
+// that never finishes.
+func TestDaemonClosesStalledHeader(t *testing.T) {
+	client, _ := startDaemon(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(client.BaseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/health HTTP/1.1\r\nHost: slscostd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	const margin = 5 * time.Second
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + margin)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer the timeout with an error response before
+	// it closes; read until the connection ends.
+	_, err = io.Copy(io.Discard, conn)
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with half a header still open after %v", time.Since(start).Round(time.Millisecond))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout (read error %v)", waited, readHeaderTimeout, err)
 	}
 }
 

@@ -66,7 +66,7 @@ func main() {
 		log.Fatal("empty pareto frontier")
 	}
 	fmt.Println()
-	rr, err := opt.Refine(context.Background(), cfg, start.Candidate, opt.RefineConfig{})
+	rr, err := opt.Refine(context.Background(), cfg, start.Candidate)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,6 +96,7 @@ func FuzzResolveParams(f *testing.F) {
 		`{"hosts":4096,"faults":{"crash":{"rate":10000}}}`,
 		`{"tenants":1125899906842624,"requests":-1}`,
 		`{"ttls":["1s","2s","3s"],"overcommits":[1,1,1],"keepalive_modes":["static","static"]}`,
+		`{"keepalive":{"mode":"bandit","seed":1}}`,
 	} {
 		f.Add([]byte(s))
 	}

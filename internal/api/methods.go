@@ -236,10 +236,7 @@ func runVerifyJob(ctx context.Context, rt *Runtime, params json.RawMessage) erro
 	if err != nil {
 		return err
 	}
-	tol := p.Tolerance
-	if tol == 0 {
-		tol = diffsim.DefaultTolerance
-	}
+	const tol = diffsim.DefaultTolerance
 	res, rep, err := diffsim.VerifyStream(ctx, fc, src, tol)
 	if res == nil {
 		// The comparison never ran (cancellation, source failure);

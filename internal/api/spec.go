@@ -118,9 +118,6 @@ type SimulateParams struct {
 	// fleet.DefaultHostSpec).
 	HostVCPU  float64 `json:"host_vcpu,omitempty"`
 	HostMemMB float64 `json:"host_mem_mb,omitempty"`
-	// Tolerance is scenario.verify's differential-replay tolerance;
-	// zero means diffsim.DefaultTolerance. fleet.simulate ignores it.
-	Tolerance float64 `json:"tolerance,omitempty"`
 	// Faults, when present, is the fault-injection spec compiled into a
 	// per-host schedule keyed to the scenario horizon and the job seed.
 	// Incompatible with the "raw" scenario (a raw trace carries no
@@ -216,8 +213,6 @@ const MaxHosts = 4096
 // for p.Hosts hosts, so nothing is sized from an unchecked number. It
 // returns the shared part of the fleet configuration (pool, host
 // shape, platform, fault plan, seed) and the scenario configuration.
-// fleet.Config.Validate, which every replay runs, checks the host
-// shape.
 func (p SimulateParams) resolve(seed uint64, scs []scenario.Scenario) (fleet.Config, scenario.Config, error) {
 	fail := func(err error) (fleet.Config, scenario.Config, error) { return fleet.Config{}, scenario.Config{}, err }
 	prof, ok := core.ProfileByName(p.Platform)
@@ -232,6 +227,10 @@ func (p SimulateParams) resolve(seed uint64, scs []scenario.Scenario) (fleet.Con
 		return fail(fmt.Errorf("tenants %d below 1", p.Tenants))
 	case p.Horizon < 0:
 		return fail(fmt.Errorf("horizon %v negative", time.Duration(p.Horizon)))
+	}
+	host := fleet.HostSpec{VCPU: p.HostVCPU, MemMB: p.HostMemMB}
+	if err := host.Validate(); err != nil {
+		return fail(err)
 	}
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = p.Requests
@@ -249,7 +248,6 @@ func (p SimulateParams) resolve(seed uint64, scs []scenario.Scenario) (fleet.Con
 	if err != nil {
 		return fail(err)
 	}
-	host := fleet.HostSpec{VCPU: p.HostVCPU, MemMB: p.HostMemMB}
 	return fleet.Config{Hosts: p.Hosts, Host: host, Profile: prof, Faults: plan, Seed: seed}, scfg, nil
 }
 

@@ -175,12 +175,24 @@ func TestSimulateConfigsDefaults(t *testing.T) {
 	}
 }
 
-func u64(v uint64) *uint64   { return &v }
-func f64(v float64) *float64 { return &v }
+func u64(v uint64) *uint64 { return &v }
+
+// refusesField checks that DecodeParams refuses simulate params on the
+// named unknown field.
+func refusesField(t *testing.T, params, field string) {
+	t.Helper()
+	var p SimulateParams
+	err := DecodeParams(json.RawMessage(params), &p)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+		t.Errorf("%s: decode error %v, want the unknown field %q", params, err, field)
+	}
+}
 
 // TestDecodeParamsSpecs: the fault and keep-alive specs a job carries
 // decode through DecodeParams, the one decoder of job params, to the
-// specs they spell.
+// specs they spell. A keep-alive spec that configures its mode (the
+// histogram, fallback and exploration settings older specs carried)
+// is refused on the unknown field: each mode has one calibration.
 func TestDecodeParamsSpecs(t *testing.T) {
 	keepAlive := []struct {
 		in   string
@@ -188,10 +200,7 @@ func TestDecodeParamsSpecs(t *testing.T) {
 	}{
 		{`{"mode":"static"}`, keepalive.Spec{Mode: keepalive.ModeStatic}},
 		{`{"mode":"adaptive","seed":7}`, keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: u64(7)}},
-		{`{"mode":"adaptive","seed":7,"max_idle":"90m","bin_width":"30s","fallback":"5m"}`,
-			keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: u64(7), MaxIdle: "90m", BinWidth: "30s", Fallback: "5m"}},
-		{`{"mode":"bandit","seed":1,"epsilon":0.25,"cold_cost":120}`,
-			keepalive.Spec{Mode: keepalive.ModeBandit, Seed: u64(1), Epsilon: f64(0.25), ColdCost: f64(120)}},
+		{`{"mode":"bandit","seed":1}`, keepalive.Spec{Mode: keepalive.ModeBandit, Seed: u64(1)}},
 	}
 	for _, tc := range keepAlive {
 		var p SimulateParams
@@ -206,6 +215,8 @@ func TestDecodeParamsSpecs(t *testing.T) {
 			t.Errorf("%s: %v", tc.in, err)
 		}
 	}
+	refusesField(t, `{"keepalive":{"mode":"adaptive","seed":7,"max_idle":"90m","bin_width":"30s","fallback":"5m"}}`, "max_idle")
+	refusesField(t, `{"keepalive":{"mode":"bandit","seed":1,"epsilon":0.25,"cold_cost":120}}`, "epsilon")
 	var p SimulateParams
 	if err := DecodeParams(json.RawMessage(`{"faults":{"crash":{"rate":2,"restart":"90s"},"storm":{"at":0.5}}}`), &p); err != nil {
 		t.Fatal(err)
@@ -245,7 +256,8 @@ func TestDecodeParamsRejectsMalformedSpecs(t *testing.T) {
 // validate fail to resolve. A fault spec's rejection is a typed
 // *faults.SpecError naming the field, through the resolver as on its
 // own; an adaptive keep-alive spec without a seed is accepted on
-// purpose, because it inherits the job's.
+// purpose, because it inherits the job's. A keep-alive spec that
+// carries a per-mode setting is refused before that, by DecodeParams.
 func TestSimulateConfigsRejectsBadSpecs(t *testing.T) {
 	resolve := func(params string) error {
 		var p SimulateParams
@@ -267,14 +279,14 @@ func TestSimulateConfigsRejectsBadSpecs(t *testing.T) {
 	for _, params := range []string{
 		`{"keepalive":{"mode":"thompson","seed":1}}`,
 		`{"keepalive":{"seed":1}}`,
-		`{"keepalive":{"mode":"static","epsilon":0.1}}`,
-		`{"keepalive":{"mode":"adaptive","max_idle":"ninety minutes"}}`,
-		`{"keepalive":{"mode":"bandit","epsilon":1.5}}`,
 	} {
 		if err := resolve(params); err == nil {
 			t.Errorf("%s: resolved", params)
 		}
 	}
+	refusesField(t, `{"keepalive":{"mode":"static","epsilon":0.1}}`, "epsilon")
+	refusesField(t, `{"keepalive":{"mode":"adaptive","max_idle":"ninety minutes"}}`, "max_idle")
+	refusesField(t, `{"keepalive":{"mode":"bandit","epsilon":1.5}}`, "epsilon")
 	if err := resolve(`{"keepalive":{"mode":"adaptive"}}`); err != nil {
 		t.Errorf("adaptive spec without a seed: %v", err)
 	}
@@ -350,6 +362,8 @@ func TestSweepConfigsRejects(t *testing.T) {
 		{"requests", SweepParams{Requests: -1}, "negative request count"},
 		{"tenants", SweepParams{Tenants: -1}, "below 1"},
 		{"horizon", SweepParams{Horizon: Duration(-time.Second)}, "negative"},
+		{"host_vcpu", SweepParams{HostVCPU: -1}, "non-positive host capacity"},
+		{"host_mem_mb", SweepParams{HostMemMB: -1}, "non-positive host capacity"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

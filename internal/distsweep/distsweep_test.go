@@ -599,17 +599,18 @@ func TestHungWorkerRedispatch(t *testing.T) {
 	}
 }
 
-// TestWorkerEvalFailurePropagates makes every evaluation fail (an
-// impossible host count reaches fleet validation) and checks the
-// coordinator surfaces a typed EvalError carrying grid indices.
+// TestWorkerEvalFailurePropagates makes every evaluation fail (hosts
+// of 1 MB fit no flavor, so every pod is rejected and no request is
+// served) and checks the coordinator surfaces a typed EvalError
+// carrying grid indices.
 func TestWorkerEvalFailurePropagates(t *testing.T) {
 	spec := testSpec()
-	spec.Sweep.HostVCPU = -1 // invalid host shape: every evaluation fails
+	spec.Sweep.HostMemMB = 1 // a valid host shape no sandbox fits: every evaluation fails
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	_, err := Local(ctx, LocalConfig{Spec: spec, Workers: 1})
 	if err == nil {
-		t.Fatal("sweep with invalid host spec succeeded")
+		t.Fatal("sweep on hosts no sandbox fits succeeded")
 	}
 	var ee *EvalError
 	if errors.As(err, &ee) {

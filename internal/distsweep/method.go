@@ -8,18 +8,6 @@ import (
 	"slscost/internal/api"
 )
 
-// Params is the opt.distsweep job spec: every field opt.sweep
-// accepts, plus the distribution controls.
-type Params struct {
-	api.SweepParams
-	// Workers is how many in-process protocol workers the daemon
-	// runs for the job; zero means 2.
-	Workers int `json:"workers,omitempty"`
-	// Shards overrides the shard count; zero derives it from the
-	// grid.
-	Shards int `json:"shards,omitempty"`
-}
-
 // Method returns the opt.distsweep namespace. It is not part of
 // api.BuiltinRegistry — cmd/slscostd registers it explicitly — so the
 // api package never imports distsweep.
@@ -31,22 +19,22 @@ func Method() api.Method {
 	}
 }
 
-// runJob executes one opt.distsweep job. Rows arrive shard-by-shard
+// runJob executes one opt.distsweep job. Its params are exactly
+// opt.sweep's; Local runs them on its default two in-process workers
+// and a shard count derived from the grid. Rows arrive shard-by-shard
 // rather than in global grid order, so unlike opt.sweep the stream
 // carries shard-count progress events instead of per-row events; the
 // terminal sweep document is byte-identical to opt.sweep's (that
 // identity is exactly what the package tests gate on).
 func runJob(ctx context.Context, rt *api.Runtime, params json.RawMessage) error {
-	var p Params
+	var p api.SweepParams
 	if err := api.DecodeParams(params, &p); err != nil {
 		return err
 	}
 	var mu sync.Mutex
 	completed := 0
 	sr, err := Local(ctx, LocalConfig{
-		Spec:    Spec{Sweep: p.SweepParams, Seed: rt.Seed},
-		Workers: p.Workers,
-		Shards:  p.Shards,
+		Spec: Spec{Sweep: p, Seed: rt.Seed},
 		Trace: func(event string, shard, index int) {
 			if event != "shard-done" {
 				return

@@ -61,11 +61,7 @@ func TestMethodByteIdenticalToOptSweep(t *testing.T) {
 	}
 
 	wantDoc, _ := runJob("opt.sweep", params)
-	distParams, err := json.Marshal(Params{SweepParams: spec.Sweep, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDoc, progress := runJob("opt.distsweep", distParams)
+	gotDoc, progress := runJob("opt.distsweep", params)
 	if len(wantDoc) == 0 || len(gotDoc) == 0 {
 		t.Fatalf("missing sweep documents: opt.sweep %d bytes, opt.distsweep %d bytes", len(wantDoc), len(gotDoc))
 	}

@@ -91,7 +91,7 @@ func RunOptExperiment(opts Options) error {
 	if !ok {
 		return fmt.Errorf("ext-opt: empty pareto frontier")
 	}
-	rr, err := opt.Refine(context.Background(), cfg, start.Candidate, opt.RefineConfig{})
+	rr, err := opt.Refine(context.Background(), cfg, start.Candidate)
 	if err != nil {
 		return err
 	}

@@ -46,6 +46,14 @@ type HostSpec struct {
 // paper's co-tenancy densities (§4) assume.
 func DefaultHostSpec() HostSpec { return HostSpec{VCPU: 16, MemMB: 32768} }
 
+// Validate reports whether both capacities are positive numbers.
+func (h HostSpec) Validate() error {
+	if !(h.VCPU > 0) || !(h.MemMB > 0) {
+		return fmt.Errorf("fleet: non-positive host capacity %+v", h)
+	}
+	return nil
+}
+
 // Config parameterizes one cluster simulation.
 type Config struct {
 	// Hosts is the number of hosts in the cluster.
@@ -107,8 +115,8 @@ func (c Config) Validate() error {
 	if c.Hosts <= 0 {
 		return fmt.Errorf("fleet: non-positive host count %d", c.Hosts)
 	}
-	if c.Host.VCPU <= 0 || c.Host.MemMB <= 0 {
-		return fmt.Errorf("fleet: non-positive host capacity %+v", c.Host)
+	if err := c.Host.Validate(); err != nil {
+		return err
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("fleet: nil placement policy")

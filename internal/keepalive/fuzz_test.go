@@ -15,8 +15,11 @@ import (
 // that passes its own Validate (a spec without a seed inherits the job
 // seed there); and accepted params survive a marshal/decode round trip
 // with the spec unchanged, so the canonical form sweep keys see is
-// stable. api's FuzzResolveParams mutates whole params; this target
-// keeps the mutator on the spec's bytes.
+// stable. A spec that configures a mode (the histogram, fallback and
+// exploration settings older specs carried) is refused as an unknown
+// field; those seeds exercise the refusal. api's FuzzResolveParams
+// mutates whole params; this target keeps the mutator on the spec's
+// bytes.
 func FuzzDecodePolicySpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"static"}`))
 	f.Add([]byte(`{"mode":"adaptive","seed":7}`))
@@ -25,6 +28,7 @@ func FuzzDecodePolicySpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"thompson"}`))
 	f.Add([]byte(`{"mode":"static"} {}`))
 	f.Add([]byte(`{"mode":"adaptive","seed":1,"bin_width":"-1s"}`))
+	f.Add([]byte(`{"mode":"bandit","seed":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := resolveKeepAlive(t, append(append([]byte(`{"keepalive":`), data...), '}'))
 		if !ok || p.KeepAlive == nil {

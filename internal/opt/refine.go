@@ -2,51 +2,8 @@ package opt
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
-
-// RefineConfig tunes the coordinate-descent refinement pass.
-type RefineConfig struct {
-	// Rounds is how many full coordinate passes run (default 3). Each
-	// round probes both neighbors of each continuous knob and then
-	// halves the step, so the search narrows geometrically.
-	Rounds int
-	// Shrink is the per-round step multiplier in (0, 1); default 0.5.
-	Shrink float64
-	// Weights scalarizes the objectives for the descent: each
-	// objective is normalized by the starting candidate's value and
-	// weighted. The zero value weights all three equally.
-	Weights Objectives
-}
-
-// withDefaults resolves the zero values.
-func (rc RefineConfig) withDefaults() RefineConfig {
-	if rc.Rounds == 0 {
-		rc.Rounds = 3
-	}
-	if rc.Shrink == 0 {
-		rc.Shrink = 0.5
-	}
-	if rc.Weights == (Objectives{}) {
-		rc.Weights = Objectives{CostPerMillion: 1, ColdStartRate: 1, SlowdownP99: 1}
-	}
-	return rc
-}
-
-// Validate reports whether the refinement configuration is usable.
-func (rc RefineConfig) Validate() error {
-	if rc.Rounds < 0 {
-		return fmt.Errorf("opt: negative refinement rounds %d", rc.Rounds)
-	}
-	if rc.Shrink < 0 || rc.Shrink >= 1 {
-		return fmt.Errorf("opt: refinement shrink %g outside (0, 1)", rc.Shrink)
-	}
-	if rc.Weights.CostPerMillion < 0 || rc.Weights.ColdStartRate < 0 || rc.Weights.SlowdownP99 < 0 {
-		return fmt.Errorf("opt: negative refinement weight %+v", rc.Weights)
-	}
-	return nil
-}
 
 // RefineStep records one probe of the descent.
 type RefineStep struct {
@@ -79,24 +36,29 @@ type RefineResult struct {
 	Evaluations int
 }
 
+// The descent's schedule: refineRounds full coordinate passes, each
+// probing both neighbors of each continuous knob and then multiplying
+// the step by refineShrink, so the search narrows geometrically.
+const (
+	refineRounds = 3
+	refineShrink = 0.5
+)
+
 // Refine narrows the continuous knobs — keep-alive TTL and overcommit
 // ratio — around a grid point by deterministic coordinate descent:
 // each round probes both neighbors of each knob at the current step
 // (TTL clamped to ≥ 0, overcommit to ≥ 1), accepts strict
-// improvements of the scalarized objective, then shrinks the step.
-// A PlatformTTL start is first resolved to the profile window's
-// midpoint so the knob is explicit. Probes that shed more load than
-// the start (higher rejected share) are rejected outright — cheaper
-// per *served* request by rejecting requests is not an optimum.
-// Deterministic for any cfg.Workers. Cancelling ctx abandons the
-// descent and returns ctx.Err().
-func Refine(ctx context.Context, cfg Config, start Candidate, rc RefineConfig) (*RefineResult, error) {
+// improvements of the score, then shrinks the step. The score is the
+// equal-weight mean of the three objectives, each normalized by the
+// start's value. A PlatformTTL start is first resolved to the profile
+// window's midpoint so the knob is explicit. Probes that shed more
+// load than the start (higher rejected share) are rejected outright —
+// cheaper per *served* request by rejecting requests is not an
+// optimum. Deterministic for any cfg.Workers. Cancelling ctx abandons
+// the descent and returns ctx.Err().
+func Refine(ctx context.Context, cfg Config, start Candidate) (*RefineResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rc = rc.withDefaults()
-	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
 	if err := start.Validate(); err != nil {
@@ -112,26 +74,19 @@ func Refine(ctx context.Context, cfg Config, start Candidate, rc RefineConfig) (
 		return nil, err
 	}
 	score := func(o Objectives) float64 {
-		num, den := 0.0, 0.0
-		for _, t := range []struct{ w, v, base float64 }{
-			{rc.Weights.CostPerMillion, o.CostPerMillion, startObj.CostPerMillion},
-			{rc.Weights.ColdStartRate, o.ColdStartRate, startObj.ColdStartRate},
-			{rc.Weights.SlowdownP99, o.SlowdownP99, startObj.SlowdownP99},
+		sum := 0.0
+		for _, t := range [...]struct{ v, base float64 }{
+			{o.CostPerMillion, startObj.CostPerMillion},
+			{o.ColdStartRate, startObj.ColdStartRate},
+			{o.SlowdownP99, startObj.SlowdownP99},
 		} {
-			if t.w == 0 {
-				continue
-			}
 			base := t.base
 			if base <= 0 {
 				base = 1 // objective already at its floor: compare absolutely
 			}
-			num += t.w * t.v / base
-			den += t.w
+			sum += t.v / base
 		}
-		if den == 0 {
-			return 1
-		}
-		return num / den
+		return sum / 3
 	}
 
 	res := &RefineResult{
@@ -152,7 +107,7 @@ func Refine(ctx context.Context, cfg Config, start Candidate, rc RefineConfig) (
 	}
 
 	const improveEps = 1e-9
-	for round := 0; round < rc.Rounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		for _, coord := range []string{"ttl", "overcommit"} {
 			for _, dir := range []float64{-1, +1} {
 				probe := best
@@ -187,8 +142,8 @@ func Refine(ctx context.Context, cfg Config, start Candidate, rc RefineConfig) (
 				}
 			}
 		}
-		ttlStep = time.Duration(float64(ttlStep) * rc.Shrink)
-		ocStep *= rc.Shrink
+		ttlStep = time.Duration(float64(ttlStep) * refineShrink)
+		ocStep *= refineShrink
 	}
 
 	res.Best = Summary{Candidate: best, Objectives: bestObj, RejectedShare: bestRej}

@@ -10,7 +10,7 @@ import (
 func TestRefineImprovesOrHoldsScore(t *testing.T) {
 	cfg := testConfig(t, 0)
 	start := Candidate{Policy: "least-loaded", KeepAliveTTL: 30 * time.Second, Overcommit: 2}
-	rr, err := Refine(context.Background(), cfg, start, RefineConfig{Rounds: 2})
+	rr, err := Refine(context.Background(), cfg, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,7 @@ func TestRefineImprovesOrHoldsScore(t *testing.T) {
 
 func TestRefineResolvesPlatformTTL(t *testing.T) {
 	cfg := testConfig(t, 0)
-	rr, err := Refine(context.Background(), cfg, Candidate{Policy: "least-loaded", KeepAliveTTL: PlatformTTL, Overcommit: 2},
-		RefineConfig{Rounds: 1})
+	rr, err := Refine(context.Background(), cfg, Candidate{Policy: "least-loaded", KeepAliveTTL: PlatformTTL, Overcommit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestRefineResolvesPlatformTTL(t *testing.T) {
 func TestRefineDeterministicAcrossWorkers(t *testing.T) {
 	start := Candidate{Policy: "bin-pack", KeepAliveTTL: 60 * time.Second, Overcommit: 1.5}
 	run := func(workers int) string {
-		rr, err := Refine(context.Background(), testConfig(t, workers), start, RefineConfig{Rounds: 2})
+		rr, err := Refine(context.Background(), testConfig(t, workers), start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,16 +64,15 @@ func TestRefineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRefineConfigValidation checks Refine validates its configuration
+// and start before evaluating anything.
 func TestRefineConfigValidation(t *testing.T) {
 	cfg := testConfig(t, 1)
-	start := Candidate{Policy: "least-loaded", KeepAliveTTL: 0, Overcommit: 1}
-	if _, err := Refine(context.Background(), cfg, start, RefineConfig{Shrink: 1.5}); err == nil {
-		t.Error("shrink above 1 did not fail")
-	}
-	if _, err := Refine(context.Background(), cfg, start, RefineConfig{Rounds: -1}); err == nil {
-		t.Error("negative rounds did not fail")
-	}
-	if _, err := Refine(context.Background(), cfg, Candidate{Policy: "no-such", Overcommit: 1}, RefineConfig{}); err == nil {
+	if _, err := Refine(context.Background(), cfg, Candidate{Policy: "no-such", Overcommit: 1}); err == nil {
 		t.Error("unknown policy did not fail")
+	}
+	cfg.Hosts = -1
+	if _, err := Refine(context.Background(), cfg, Candidate{Policy: "least-loaded", Overcommit: 1}); err == nil {
+		t.Error("negative host count did not fail")
 	}
 }
