@@ -1,12 +1,14 @@
 // Policy sweep: turn the fleet simulator into a decision tool. The
 // optimizer (internal/opt) evaluates a grid of placement policy ×
 // keep-alive TTL × overcommit configurations against several workload
-// scenarios concurrently — candidates that share a scenario stream
-// through one fleet.SimulateGroup replay of its source — and reduces
-// the grid to the Pareto frontier over cost, cold-start rate, and p99
+// scenarios concurrently — each scenario is compiled and pod-scanned
+// once per call, and candidates that share a scenario stream through
+// one fleet.SimulateGroup replay of its source — and reduces the grid
+// to the Pareto frontier over cost, cold-start rate, and p99
 // contention slowdown.
 // A coordinate-descent pass then narrows the continuous knobs around
-// the cheapest frontier point.
+// the cheapest frontier point, replaying every probe from the same
+// once-per-call plans and scans.
 //
 //	go run ./examples/policy-sweep
 package main

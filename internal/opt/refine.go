@@ -54,8 +54,10 @@ const (
 // window's midpoint so the knob is explicit. Probes that shed more
 // load than the start (higher rejected share) are rejected outright —
 // cheaper per *served* request by rejecting requests is not an
-// optimum. Deterministic for any cfg.Workers. Cancelling ctx abandons
-// the descent and returns ctx.Err().
+// optimum. Each scenario is compiled (or fetched through cfg.Planner)
+// and pod-scanned once per call, and every probe replays from them.
+// Deterministic for any cfg.Workers. Cancelling ctx abandons the
+// descent and returns ctx.Err().
 func Refine(ctx context.Context, cfg Config, start Candidate) (*RefineResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -69,7 +71,11 @@ func Refine(ctx context.Context, cfg Config, start Candidate) (*RefineResult, er
 		start.KeepAliveTTL = (ka.MinWindow + ka.MaxWindow) / 2
 	}
 
-	startObj, startRej, err := evalMean(ctx, cfg, start)
+	scenes, err := resolveScenes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	startObj, startRej, err := evalMean(ctx, cfg, scenes, start)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +132,7 @@ func Refine(ctx context.Context, cfg Config, start Candidate) (*RefineResult, er
 				if probe == best {
 					continue // clamped onto the incumbent: nothing to probe
 				}
-				obj, rej, err := evalMean(ctx, cfg, probe)
+				obj, rej, err := evalMean(ctx, cfg, scenes, probe)
 				if err != nil {
 					return nil, err
 				}

@@ -12,6 +12,7 @@ import (
 	"slscost/internal/keepalive"
 	"slscost/internal/scenario"
 	"slscost/internal/scenario/faults"
+	"slscost/internal/trace"
 )
 
 // Config parameterizes one sweep or refinement: everything an
@@ -49,7 +50,8 @@ type Config struct {
 	// Planner, when non-nil, supplies the compiled plan for each
 	// scenario instead of a fresh Scenario.Compile — the hook the
 	// slscostd daemon uses to share its LRU of compiled plans across
-	// jobs. A planner must return a plan equivalent to
+	// jobs. It is consulted once per scenario per Sweep, SweepRange or
+	// Refine call. A planner must return a plan equivalent to
 	// sc.Compile(scfg); because Plan openings are deterministic, a
 	// cached plan cannot change any result.
 	Planner func(sc scenario.Scenario, scfg scenario.Config) (*scenario.Plan, error)
@@ -176,10 +178,11 @@ type SweepResult struct {
 // concurrently across a bounded worker pool, and returns the grid
 // with per-candidate aggregates. Output is deterministic: identical
 // for any cfg.Workers, because evaluations are independent pure
-// functions placed by index. Each scenario is compiled exactly once
-// per sweep (or fetched through cfg.Planner) and shared read-only by
-// every candidate's evaluation; candidates evaluated on the same
-// scenario replay in groups from one synthesis (evaluateRange).
+// functions placed by index. Each scenario is compiled (or fetched
+// through cfg.Planner) and pod-scanned once per sweep, and every
+// candidate's evaluation shares both read-only (resolveScenes);
+// candidates evaluated on the same scenario replay in groups from one
+// synthesis (evaluateRange).
 //
 // Cancelling ctx abandons the sweep and returns ctx.Err() promptly:
 // workers stop picking up evaluations and the running ones unwind
@@ -194,8 +197,12 @@ func Sweep(ctx context.Context, cfg Config, space Space) (*SweepResult, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
+	scenes, err := resolveScenes(cfg)
+	if err != nil {
+		return nil, err
+	}
 	cands := space.Candidates()
-	results, err := evaluateRange(ctx, cfg, cands, 0, len(cands)*len(cfg.Scenarios))
+	results, err := evaluateRange(ctx, cfg, scenes, cands, 0, len(cands)*len(cfg.Scenarios))
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +240,11 @@ func SweepRange(ctx context.Context, cfg Config, space Space, start, end int) ([
 	if start < 0 || end > total || start > end {
 		return nil, fmt.Errorf("opt: range [%d,%d) outside the %d-evaluation grid", start, end, total)
 	}
-	return evaluateRange(ctx, cfg, cands, start, end)
+	scenes, err := resolveScenes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return evaluateRange(ctx, cfg, scenes, cands, start, end)
 }
 
 // AssembleSweep folds a fully evaluated grid — results in grid order,
@@ -339,18 +350,32 @@ func (e *SweepError) Indices() []int {
 	return out
 }
 
-// compilePlans resolves every scenario of the sweep to its compiled
-// plan, through cfg.Planner when set (the daemon's cache) or a direct
-// Compile otherwise. Compilation happens once per scenario per sweep;
-// evaluations share the immutable plans.
-func compilePlans(cfg Config) ([]*scenario.Plan, error) {
+// scene is one scenario resolved for one optimizer call.
+type scene struct {
+	name string       // the compiled plan's name, its reports' label
+	src  trace.Source // the plan's source; its openings share one pod scan
+}
+
+// planSource opens a compiled plan's source. Tests count the pod scans
+// of an optimizer call through it.
+var planSource = (*scenario.Plan).Source
+
+// resolveScenes resolves every scenario of one Sweep, SweepRange or
+// Refine call, once for all of its evaluations: the plan, through
+// cfg.Planner when set (the daemon's cache) or a direct Compile
+// otherwise, and the plan's source behind trace.ShareScan, so each
+// scenario is pod-scanned once per call however many groups and probes
+// replay it. The shared scans die with the call. They are never kept on
+// a plan: plans outlive the call in the daemon's cache, and a scan is
+// 64 bytes per pod.
+func resolveScenes(cfg Config) ([]scene, error) {
 	compile := cfg.Planner
 	if compile == nil {
 		compile = func(sc scenario.Scenario, scfg scenario.Config) (*scenario.Plan, error) {
 			return sc.Compile(scfg)
 		}
 	}
-	plans := make([]*scenario.Plan, len(cfg.Scenarios))
+	scenes := make([]scene, len(cfg.Scenarios))
 	for i, sc := range cfg.Scenarios {
 		p, err := compile(sc, cfg.Scenario)
 		if err != nil {
@@ -359,14 +384,15 @@ func compilePlans(cfg Config) ([]*scenario.Plan, error) {
 		if p == nil {
 			return nil, fmt.Errorf("opt: planner returned nil plan for scenario %s", sc.Name)
 		}
-		plans[i] = p
+		scenes[i] = scene{name: p.Name(), src: trace.ShareScan(planSource(p))}
 	}
-	return plans, nil
+	return scenes, nil
 }
 
 // maxGroup caps how many grid slots of one scenario share each worker
-// of a fleet.SimulateGroup replay, which synthesizes and scans the
-// scenario once for the whole group instead of once per slot. Memory,
+// of a fleet.SimulateGroup replay, which synthesizes the scenario once
+// for the whole group instead of once per slot (the pod scan is made
+// once per optimizer call, so a group only places from it). Memory,
 // not CPU, sets the cap: a sweep evaluation runs near the Go
 // collector's 4 MB heap floor with 1–3 MB live, so each configuration
 // live at once shows in the process's peak RSS. With pods sharing
@@ -390,6 +416,8 @@ const maxGroup = 2
 // run side by side on one worker each, in pairs while pairing still
 // leaves every worker a group: a lone configuration's sharded replay
 // is bound by its one feeder, which synthesizes for all its shards.
+// Either way every group of a scenario places from its one shared pod
+// scan, side-by-side groups concurrently.
 func dispatch(n, nScen, workers int) (pool, shards, size int) {
 	if n/nScen >= workers {
 		return 1, workers, maxGroup * workers
@@ -427,11 +455,7 @@ func groupSlots(start, n, nScen, size int) [][]int {
 // watermark, so row streaming is deterministic too. A cancelled ctx
 // wins and returns ctx.Err(); evaluation failures under a live context
 // aggregate into a *SweepError carrying every failed grid index.
-func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, end int) ([]Result, error) {
-	plans, err := compilePlans(cfg)
-	if err != nil {
-		return nil, err
-	}
+func evaluateRange(ctx context.Context, cfg Config, scenes []scene, cands []Candidate, start, end int) ([]Result, error) {
 	nScen := len(cfg.Scenarios)
 	n := end - start
 	results := make([]Result, n)
@@ -475,7 +499,7 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 					continue
 				}
 				si := (start + slots[0]) % nScen
-				evaluateGroup(ctx, cfg, cands, start, slots, shards, cfg.Scenarios[si], plans[si], results, errs)
+				evaluateGroup(ctx, cfg, cands, start, slots, shards, cfg.Scenarios[si], scenes[si], results, errs)
 				emit(slots)
 			}
 		}()
@@ -507,12 +531,12 @@ func evaluateRange(ctx context.Context, cfg Config, cands []Candidate, start, en
 }
 
 // evaluateGroup runs one group of slots — one candidate each, all on
-// scenario sc — through a single fleet.SimulateGroup replay of the
-// compiled plan over shards workers, and writes each slot's result or
-// error, extracting the objectives. Each candidate's configuration is
-// built and validated on its own first, so a candidate that fails
-// fails only its own slot.
-func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int, slots []int, shards int, sc scenario.Scenario, plan *scenario.Plan, results []Result, errs []error) {
+// scenario sc — through a single fleet.SimulateGroup replay of sn, the
+// scenario's resolved source, over shards workers, and writes each
+// slot's result or error, extracting the objectives. Each candidate's
+// configuration is built and validated on its own first, so a
+// candidate that fails fails only its own slot.
+func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int, slots []int, shards int, sc scenario.Scenario, sn scene, results []Result, errs []error) {
 	nScen := len(cfg.Scenarios)
 	cand := func(k int) Candidate { return cands[(start+k)/nScen] }
 	fail := func(k int, err error) {
@@ -537,7 +561,7 @@ func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int
 	if len(fcs) == 0 {
 		return
 	}
-	reps, err := fleet.SimulateGroup(ctx, fcs, plan.Source())
+	reps, err := fleet.SimulateGroup(ctx, fcs, sn.src)
 	var ge *fleet.GroupError
 	if err != nil && !errors.As(err, &ge) {
 		for _, k := range live {
@@ -554,7 +578,7 @@ func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int
 		// per evaluation: the group's shards are the pool's workers,
 		// which never show in a sweep's output.
 		rep := reps[i]
-		rep.Scenario, rep.Workers = plan.Name(), 1
+		rep.Scenario, rep.Workers = sn.name, 1
 		results[k] = Result{
 			Candidate:  cand(k),
 			Scenario:   sc.Name,
@@ -568,9 +592,9 @@ func evaluateGroup(ctx context.Context, cfg Config, cands []Candidate, start int
 // (concurrently) and returns the mean objectives — the scalar
 // refinement loop's fitness oracle. Row streaming is disabled: probe
 // evaluations are not sweep rows.
-func evalMean(ctx context.Context, cfg Config, c Candidate) (Objectives, float64, error) {
+func evalMean(ctx context.Context, cfg Config, scenes []scene, c Candidate) (Objectives, float64, error) {
 	cfg.OnResult = nil
-	results, err := evaluateRange(ctx, cfg, []Candidate{c}, 0, len(cfg.Scenarios))
+	results, err := evaluateRange(ctx, cfg, scenes, []Candidate{c}, 0, len(cfg.Scenarios))
 	if err != nil {
 		return Objectives{}, 0, err
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"time"
 
 	"slscost/internal/stats"
@@ -274,7 +275,9 @@ type PodMeta struct {
 // PodScanner is implemented by streams that can enumerate their pod
 // population up front without being consumed. The streaming cluster
 // simulator's placement pass uses it to skip materializing every
-// request of its first pass.
+// request of its first pass. A PodScan result may be one slice shared
+// by several openings (ShareScan), read concurrently: callers must not
+// modify it.
 type PodScanner interface {
 	PodScan() []PodMeta
 }
@@ -283,7 +286,7 @@ type PodScanner interface {
 type podScanStream struct {
 	open func() Stream
 	into func(*Request) bool // the opened stream's NextInto; nil before the first pull
-	scan func() []PodMeta
+	scan func() []PodMeta    // the pods in stream order
 }
 
 // WithPodScan returns the stream open builds, paired with scan, which
@@ -293,10 +296,51 @@ type podScanStream struct {
 // whenever pod IDs ascend with source index, as they do in calibrated
 // generator streams and scenario streams, whose sources are
 // function-major and whose pods are numbered function by function.
+// The sort runs here, on the list scan returns, once per scan; the
+// sorted list is read-only from then on, as every PodScan result is.
 // The stream is built on the first pull, so an opening that is only
 // scanned never builds it.
 func WithPodScan(open func() Stream, scan func() []PodMeta) Stream {
-	return &podScanStream{open: open, scan: scan}
+	return &podScanStream{open: open, scan: func() []PodMeta {
+		metas := scan()
+		slices.SortFunc(metas, streamOrder)
+		return metas
+	}}
+}
+
+// streamOrder orders pods as a stream first meets them. It is a
+// top-level function because a comparator literal nested in
+// WithPodScan's closure, once WithPodScan inlines into its callers,
+// heap-allocates cmp.Or's arguments on every comparison.
+func streamOrder(a, b PodMeta) int {
+	return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.ID, b.ID))
+}
+
+// ShareScan returns a source whose openings share one pod scan. The
+// first PodScan of any opening runs src's scan and sorts it; every
+// opening, concurrent ones included, returns that one read-only slice.
+// Requests are not shared: each opening still synthesizes its own
+// stream. A source whose openings cannot scan (SourceOf, say) is
+// returned unchanged.
+//
+// The scan lives as long as the returned source, so share a source for
+// one call's openings, not on a value that outlives the call: a scan
+// holds 64 bytes per pod.
+func ShareScan(src Source) Source {
+	s, err := src()
+	first, ok := s.(*podScanStream)
+	if err != nil || !ok {
+		return src
+	}
+	scan := sync.OnceValue(first.scan)
+	return func() (Stream, error) {
+		s, err := src()
+		ps, ok := s.(*podScanStream)
+		if err != nil || !ok {
+			return s, err
+		}
+		return &podScanStream{open: ps.open, scan: scan}, nil
+	}
 }
 
 func (s *podScanStream) Next() (Request, bool) {
@@ -312,13 +356,7 @@ func (s *podScanStream) NextInto(r *Request) bool {
 	return s.into(r)
 }
 
-func (s *podScanStream) PodScan() []PodMeta {
-	metas := s.scan()
-	slices.SortFunc(metas, func(a, b PodMeta) int {
-		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.ID, b.ID))
-	})
-	return metas
-}
+func (s *podScanStream) PodScan() []PodMeta { return s.scan() }
 
 // A Clock re-times one function's requests: it is handed each request's
 // rescaled duration in generation order and returns the request's

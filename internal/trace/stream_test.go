@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"errors"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -161,5 +165,120 @@ func TestCollectAllocsFlat(t *testing.T) {
 	t.Logf("Collect allocations: %.0f at 20k requests, %.0f at 100k", small, large)
 	if large > small+100 {
 		t.Errorf("Collect allocates %.0f times at 100k requests against %.0f at 20k: not presized", large, small)
+	}
+}
+
+// countedSource is a generator source whose openings count the pod
+// scans they run.
+func countedSource(cfg GeneratorConfig, scans *atomic.Int64) Source {
+	c := Calibrate(cfg)
+	return func() (Stream, error) {
+		return WithPodScan(c.merge, func() []PodMeta {
+			scans.Add(1)
+			return c.AppendPodMetas(make([]PodMeta, 0, c.Pods()), nil)
+		}), nil
+	}
+}
+
+// TestShareScanScansOnce pins ShareScan's contract: sharing runs no
+// scan up front, the first PodScan runs the underlying scan, and every
+// opening returns that one slice, equal pod for pod to an unshared
+// opening's scan, while still streaming its own requests.
+func TestShareScanScansOnce(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.Requests = 5000
+	want := GenerateStream(cfg).(PodScanner).PodScan()
+	tr := Generate(cfg)
+	var scans atomic.Int64
+	src := ShareScan(countedSource(cfg, &scans))
+	if n := scans.Load(); n != 0 {
+		t.Fatalf("sharing ran %d scans before any PodScan", n)
+	}
+	var first []PodMeta
+	for i := 0; i < 3; i++ {
+		s, err := src()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.(PodScanner).PodScan()
+		if !slices.Equal(got, want) {
+			t.Fatalf("opening %d: shared scan differs from an unshared opening's", i)
+		}
+		if i == 0 {
+			first = got
+		} else if &got[0] != &first[0] {
+			t.Fatalf("opening %d scanned a slice of its own", i)
+		}
+		if !reflect.DeepEqual(Collect(s, cfg.Requests), tr) {
+			t.Fatalf("opening %d: requests differ from Generate's", i)
+		}
+	}
+	if n := scans.Load(); n != 1 {
+		t.Fatalf("%d underlying scans for three openings, want 1", n)
+	}
+}
+
+// TestShareScanConcurrent opens and scans a shared source from several
+// goroutines at once; run it under -race. Every opening must get the
+// one scan.
+func TestShareScanConcurrent(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.Requests = 5000
+	var scans atomic.Int64
+	src := ShareScan(countedSource(cfg, &scans))
+	const openings = 8
+	got := make([][]PodMeta, openings)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := src()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = s.(PodScanner).PodScan()
+		}()
+	}
+	wg.Wait()
+	if n := scans.Load(); n != 1 {
+		t.Fatalf("%d underlying scans for %d concurrent openings, want 1", n, openings)
+	}
+	for i := range got {
+		if len(got[i]) == 0 || &got[i][0] != &got[0][0] {
+			t.Fatalf("opening %d did not get the shared scan", i)
+		}
+	}
+}
+
+// TestShareScanLeavesUnscannableSource checks that a source whose
+// streams cannot scan comes back as it was: a recorded trace's openings
+// stay plain slice streams, and a source that fails to open still fails
+// on open.
+func TestShareScanLeavesUnscannableSource(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.Requests = 200
+	tr := Generate(cfg)
+	src := SourceOf(tr)
+	shared := ShareScan(src)
+	if reflect.ValueOf(shared).Pointer() != reflect.ValueOf(src).Pointer() {
+		t.Fatal("ShareScan wrapped a source that cannot scan")
+	}
+	s, err := shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.(PodScanner); ok {
+		t.Fatal("a recorded trace's opening gained a pod scan")
+	}
+	if !reflect.DeepEqual(Collect(s, tr.Len()), tr) {
+		t.Fatal("shared recorded source streams different requests")
+	}
+
+	boom := errors.New("boom")
+	failing := ShareScan(func() (Stream, error) { return nil, boom })
+	if _, err := failing(); !errors.Is(err, boom) {
+		t.Fatalf("failing source opened with %v, want %v", err, boom)
 	}
 }
