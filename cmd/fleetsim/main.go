@@ -39,8 +39,9 @@
 // A single run streams its workload through the cluster simulator: a
 // generated or shaped workload is synthesized lazily and host shards
 // simulate concurrently with generation, so memory stays bounded by
-// the pod count instead of the request count, -requests in the tens
-// of millions included (-verify holds the trace once for the oracle).
+// the pod count instead of the request count, -requests in the
+// hundreds of millions included, -verify too (the oracle streams the
+// workload again).
 // The printed latency line (mean/p50/p95/p99/max) and the p99
 // contention slowdown are read from fixed logarithmic histograms
 // (stats.LogHist) merged across hosts: mean and max are exact,

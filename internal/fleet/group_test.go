@@ -214,7 +214,7 @@ func TestSimulateGroupSharesOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas, _, err := scanPods(context.Background(), s)
+	metas, _, _, err := scanPods(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

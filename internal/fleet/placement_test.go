@@ -25,7 +25,7 @@ func TestPlacementNeverOverCommits(t *testing.T) {
 		cfg := trace.DefaultGeneratorConfig()
 		cfg.Requests = 400
 		cfg.Seed = seed
-		metas, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
+		metas, _, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig()
 	cfg.Requests = 3000
 	cfg.Seed = 99
-	pods, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
+	pods, _, _, err := scanPods(context.Background(), trace.GenerateStream(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestConfigReplaysIdentically(t *testing.T) {
 			if reports[i], err = Simulate(cfg, tr); err != nil {
 				t.Fatal(err)
 			}
-			if placements[i], err = Place(cfg, tr); err != nil {
+			if placements[i], _, err = Place(context.Background(), cfg, trace.SourceOf(tr)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -210,7 +210,7 @@ func TestConfigReplaysIdentically(t *testing.T) {
 func TestPlacementAllocatesPerPass(t *testing.T) {
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = 20000
-	metas, _, err := scanPods(context.Background(), trace.GenerateStream(gen))
+	metas, _, _, err := scanPods(context.Background(), trace.GenerateStream(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func TestBuildPodsGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hosts = 4
-	as, err := Place(Config{Hosts: hosts, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 5}, tr)
+	as, _, err := Place(context.Background(), Config{Hosts: hosts, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS(), Seed: 5}, trace.SourceOf(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
+	pods, _, _, err := scanPods(context.Background(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestPlaceMatchesSimulateRejections(t *testing.T) {
 	gen.Seed = 11
 	tr := trace.Generate(gen)
 	cfg := testFleetConfig(t)
-	pods, err := Place(cfg, tr)
+	pods, _, err := Place(context.Background(), cfg, trace.SourceOf(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +72,51 @@ func TestPlaceMatchesSimulateRejections(t *testing.T) {
 	}
 	if rep.RejectedRequests != rejected {
 		t.Errorf("Place rejected %d requests, Simulate %d", rejected, rep.RejectedRequests)
+	}
+}
+
+// TestPlaceReturnsUnreadOpening: Place hands back an opening of its
+// source positioned at the first request, for the caller's second
+// pass. A source whose streams list their pods is opened once, and
+// that opening comes back unread; a recorded trace, which the scan
+// reads to the end, is opened again.
+func TestPlaceReturnsUnreadOpening(t *testing.T) {
+	gen := trace.DefaultGeneratorConfig()
+	gen.Requests = 3000
+	gen.Seed = 11
+	tr := trace.Generate(gen)
+	for _, tc := range []struct {
+		name  string
+		src   trace.Source
+		opens int
+	}{
+		{"generator", trace.GenerateSource(gen), 1},
+		{"recorded", trace.SourceOf(tr), 2},
+	} {
+		opens := 0
+		counted := func() (trace.Stream, error) {
+			opens++
+			return tc.src()
+		}
+		pods, s, err := Place(context.Background(), testFleetConfig(t), counted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pods) == 0 {
+			t.Fatalf("%s: no pods placed", tc.name)
+		}
+		if opens != tc.opens {
+			t.Errorf("%s: source opened %d times, want %d", tc.name, opens, tc.opens)
+		}
+		got := trace.Collect(s, 0)
+		if got.Len() != tr.Len() {
+			t.Fatalf("%s: the returned opening yields %d of %d requests", tc.name, got.Len(), tr.Len())
+		}
+		for i := range got.Requests {
+			if got.Requests[i] != tr.Requests[i] {
+				t.Fatalf("%s: request %d of the returned opening differs:\n got %+v\nwant %+v", tc.name, i, got.Requests[i], tr.Requests[i])
+			}
+		}
 	}
 }
 

@@ -134,17 +134,17 @@ func (ix *podIndex) get(id int) int {
 // TestPodScanMatchesRequestScan pins. Otherwise it enforces the
 // replay's input contract: requests sorted by arrival, per-pod flavors
 // constant. Cancelling ctx stops the scan within cancelCheckMask+1
-// pulls.
-func scanPods(ctx context.Context, s trace.Stream) ([]trace.PodMeta, int, error) {
+// pulls. pulled reports whether the scan read requests from s.
+func scanPods(ctx context.Context, s trace.Stream) (metas []trace.PodMeta, total int, pulled bool, err error) {
 	if sc, ok := s.(trace.PodScanner); ok {
-		metas := sc.PodScan()
-		total := 0
+		metas = sc.PodScan()
 		for i := range metas {
 			total += metas[i].NReqs
 		}
-		return metas, total, nil
+		return metas, total, false, nil
 	}
-	return scanPodsSlow(ctx, s)
+	metas, total, err = scanPodsSlow(ctx, s)
+	return metas, total, true, err
 }
 
 // scanPodsSlow is the per-request fallback scan for streams that cannot
@@ -203,7 +203,7 @@ func scanSource(ctx context.Context, src trace.Source) ([]trace.PodMeta, int, po
 	if err != nil {
 		return nil, 0, podIndex{}, err
 	}
-	metas, total, err := scanPods(ctx, s)
+	metas, total, _, err := scanPods(ctx, s)
 	if err != nil {
 		return nil, 0, podIndex{}, err
 	}

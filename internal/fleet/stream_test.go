@@ -419,9 +419,12 @@ func TestPodScanMatchesRequestScan(t *testing.T) {
 			if _, ok := s1.(trace.PodScanner); !ok {
 				t.Fatal("stream does not implement trace.PodScanner")
 			}
-			fast, fastTotal, err := scanPods(context.Background(), s1)
+			fast, fastTotal, pulled, err := scanPods(context.Background(), s1)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if pulled {
+				t.Fatal("the pod scan pulled requests from the stream")
 			}
 			s2, err := tc.src()
 			if err != nil {

@@ -7,18 +7,24 @@
 // internal/fleet simulates each host as callbacks on a simtime.Clock
 // with cancellable timers, sharded across a worker pool. This package
 // re-derives the same quantities from the same inputs with a different
-// mechanism — one explicit chronological sweep per host, which walks
-// the host's arrivals in trace order, the order the fleet feeds them,
+// mechanism — one explicit chronological sweep per host, which takes
+// the host's arrivals in stream order, the order the fleet feeds them,
 // and keeps only pending events (faults, completions, expiries) on a
 // typed heap, with lazy (generation-counted) expiry invalidation and
 // sequential accounting — so a bookkeeping bug in either
-// implementation surfaces as a disagreement. Hosts are independent:
-// Replay sweeps them on fleet.Config.Workers goroutines and folds their
-// tallies in host order. The per-host random stream contract
-// (fleet.ShardSeed, keep-alive windows drawn in event order) is shared
-// and every float is summed in the fleet's order, so agreement is
-// exact: every relative delta is 0. VerifyStream's context cancels the oracle's replay as
-// well as the streamed simulation.
+// implementation surfaces as a disagreement. The oracle streams: it
+// places from the source's pods with the fleet's placement pass, then
+// pulls the source once more and hands each arrival to its host's
+// interpreter on one of fleet.Config.Workers goroutines, so it holds
+// the pods and the live events, never the trace. Hosts are
+// independent, and their tallies fold in host order. The per-host
+// random stream contract (fleet.ShardSeed, keep-alive windows drawn in
+// event order) is shared and every float is summed in the fleet's
+// order, so agreement is exact: every relative delta is 0. The pod
+// metadata placement reads is re-derived from the requests as they
+// pass, so a pod scan that disagrees with its stream fails
+// verification too. VerifyStream's context cancels the oracle's replay
+// as well as the streamed simulation.
 //
 // Combined with internal/scenario, every workload scenario doubles as a
 // verification oracle: the ext-scenarios experiment and the fleetsim
@@ -30,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -178,32 +185,27 @@ func Verify(cfg fleet.Config, tr *trace.Trace, tol float64) (*Result, fleet.Repo
 }
 
 // VerifyStream is Verify for the streaming pipeline: the cluster
-// report comes from fleet.SimulateStream, while the independent replay
-// materializes the same source once and sweeps it per host. This
-// cross-checks the entire streamed path — lazy generation, re-timing,
-// the placement scan, and the incremental host clocks — against an
-// implementation that shares none of that machinery. Because the
-// replay materializes the trace, verification runs at oracle scale,
-// not at the streamed path's unbounded scale.
+// report comes from fleet.SimulateStream, and the independent replay
+// streams the same source again, host by host. This cross-checks the
+// entire streamed path — lazy generation, re-timing, the placement
+// scan, and the incremental host clocks — against an implementation
+// that shares none of that machinery, at any trace size: the oracle,
+// like the fleet, holds the pods and the live events, not the
+// requests. A source whose streams list their pods is opened three
+// times, twice by the fleet and once by the oracle.
 //
 // Cancelling ctx stops the whole call promptly: the streamed
-// simulation within fleet.SimulateStream's bound, the oracle before it
-// collects the source and then within cancelCheckMask+1 events of each
-// host it is replaying. A cancelled call returns ctx.Err() and a nil
-// Result.
+// simulation within fleet.SimulateStream's bound, the oracle within
+// cancelCheckMask+1 pulls of its feed and as many events of each host
+// it is replaying. A cancelled call returns ctx.Err() and a nil
+// Result, and so does a call whose oracle failed, a panic in a host's
+// replay included; no goroutine of the call outlives it.
 func VerifyStream(ctx context.Context, cfg fleet.Config, src trace.Source, tol float64) (*Result, fleet.Report, error) {
 	rep, err := fleet.SimulateStream(ctx, cfg, src)
 	if err != nil {
 		return nil, rep, err
 	}
-	s, err := src()
-	if err != nil {
-		return nil, rep, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, rep, err
-	}
-	agg, err := replay(ctx, cfg, trace.Collect(s, rep.Requests))
+	agg, err := replay(ctx, cfg, src)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -274,32 +276,358 @@ func relDelta(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// Replay places the trace with the fleet's own sequential placement
-// pass, then replays every host with the independent interpreter,
-// cfg.Workers hosts at a time (zero means GOMAXPROCS), and folds the
-// per-host results in host order (mirroring the fleet's merge
-// discipline, so every float is summed in the same order whatever the
-// worker count).
+// Replay places the trace with the fleet's own placement pass, then
+// replays every host with the independent interpreter, cfg.Workers
+// hosts at a time (zero means GOMAXPROCS), and folds the per-host
+// results in host order (mirroring the fleet's merge discipline, so
+// every float is summed in the same order whatever the worker count).
+// It is the streaming oracle over trace.SourceOf(tr).
 func Replay(cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
-	return replay(context.Background(), cfg, tr)
+	return replay(context.Background(), cfg, trace.SourceOf(tr))
 }
 
-// replay is Replay under a context: cancelling ctx stops every host's
-// event loop within cancelCheckMask+1 events and returns ctx.Err().
-func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, error) {
-	pods, err := fleet.Place(cfg, tr)
+// replay is the oracle, in two passes over src. Pass 1 is the fleet's
+// placement pass (fleet.Place), which also hands back an unread
+// opening of src. Pass 2 pulls that opening once: the calling
+// goroutine feeds each arrival to the worker goroutine that owns its
+// host, and re-derives every pod's metadata from the requests as they
+// pass, so the scan placement read is checked too. Cancelling ctx
+// stops both passes, the feeder within cancelCheckMask+1 pulls and
+// each host within as many events, and returns ctx.Err().
+func replay(ctx context.Context, cfg fleet.Config, src trace.Source) (Aggregate, error) {
+	pods, s, err := fleet.Place(ctx, cfg, src)
 	if err != nil {
 		return Aggregate{}, err
 	}
-	var agg Aggregate
-	work := splitHosts(cfg.Hosts, pods, tr, &agg)
+	o := newOracle(ctx, &cfg, pods)
+	if err := o.run(s); err != nil {
+		return Aggregate{}, err
+	}
+	return o.fold()
+}
 
+const (
+	// cancelCheckMask gates how often the feeder and each host's event
+	// loop poll the context: every (mask+1) requests or events, the
+	// bound internal/fleet's streaming loops keep too.
+	cancelCheckMask = 0x3ff
+	// batchSize is how many arrivals travel to a worker per channel
+	// send, and queueDepth how many batches each worker's channel
+	// holds: like the fleet's hand-off, they cap the feeder's lead at a
+	// few hundred kilobytes per worker, whatever the trace size.
+	batchSize  = 128
+	queueDepth = 4
+)
+
+// item is one routed arrival: its host, its pod's slot on the host,
+// and a copy of the request, which the host may hold as a deferred
+// arrival (there is no trace to index).
+type item struct {
+	host, pod int32
+	r         trace.Request
+}
+
+// batchPool recycles drained hand-off batches across calls. A batch
+// holds requests and slots, no pointers, so a pooled batch pins
+// nothing of the call that filled it.
+var batchPool = sync.Pool{New: func() any { return new([batchSize]item) }}
+
+// podState is what the feeder knows of one placed pod: where its
+// requests go (host -1 when placement rejected the pod) and what it
+// has seen of them, for holding them to the pod's scanned metadata.
+type podState struct {
+	host, slot int32 // the pod's host and its slot among the host's pods
+	n          int   // requests seen
+	last       time.Duration
+}
+
+// hostStartHook, when set, runs as a worker starts replaying a host,
+// and workerExitHook as each worker goroutine returns, before the call
+// can see it gone: test seams for failing one host and for checking
+// that no worker outlives the call.
+var (
+	hostStartHook  func(host int)
+	workerExitHook func()
+)
+
+// oracle is one replay's pass-2 state. The feeder, on the calling
+// goroutine, owns pods, state, firsts and rejected; worker w owns every
+// host h with h mod len(in) = w, and host h's slot in hosts is written
+// only by its owner. The caller reads hosts after the workers return.
+type oracle struct {
+	ctx   context.Context
+	cfg   *fleet.Config
+	tf    billing.Tariff
+	pods  []fleet.PodAssignment // the placement, in first-arrival order
+	state []podState            // by pod slot in pods
+	slots map[int]int32         // pod ID to its slot in pods
+	// firsts counts the pods whose first request the feeder has seen:
+	// the slot the next pod to arrive must have.
+	firsts   int
+	rejected int // requests of rejected pods
+
+	hostPods [][]fleet.PodAssignment // each host's pods, by slot on the host
+	hosts    []*host                 // nil until the host's first arrival
+
+	in []chan []item
+	wg sync.WaitGroup
+	// stop tells the feeder and the workers that the call failed: the
+	// feeder stops pulling, the workers drop what is queued and finish
+	// no host. err is the first failure.
+	stop atomic.Bool
+	mu   sync.Mutex
+	err  error
+}
+
+// newOracle indexes the placed pods by ID and routes them: each
+// rejected pod to no host, each placed one to the next slot on its host.
+func newOracle(ctx context.Context, cfg *fleet.Config, pods []fleet.PodAssignment) *oracle {
+	workers := cfg.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	o := &oracle{
+		ctx:      ctx,
+		cfg:      cfg,
+		tf:       billing.Compile(cfg.Profile.Billing),
+		pods:     pods,
+		state:    make([]podState, len(pods)),
+		slots:    make(map[int]int32, len(pods)),
+		hostPods: make([][]fleet.PodAssignment, cfg.Hosts),
+		hosts:    make([]*host, cfg.Hosts),
+		in:       make([]chan []item, min(workers, cfg.Hosts)),
+	}
+	// The hosts' pod lists are cut from one array, in host order.
+	start := make([]int, cfg.Hosts+1)
+	for _, p := range pods {
+		if p.Host >= 0 {
+			start[p.Host+1]++
+		}
+	}
+	for h := range cfg.Hosts {
+		start[h+1] += start[h]
+	}
+	byHost := make([]fleet.PodAssignment, start[cfg.Hosts])
+	for h := range o.hostPods {
+		o.hostPods[h] = byHost[start[h]:start[h]:start[h+1]]
+	}
+	for i, p := range pods {
+		o.slots[p.ID] = int32(i)
+		if p.Host < 0 {
+			o.state[i].host = -1
+			continue
+		}
+		o.state[i].host, o.state[i].slot = int32(p.Host), int32(len(o.hostPods[p.Host]))
+		o.hostPods[p.Host] = append(o.hostPods[p.Host], p)
+	}
+	return o
+}
+
+// fail records err as the call's failure unless one came first, and
+// stops the feeder and the workers.
+func (o *oracle) fail(err error) {
+	o.mu.Lock()
+	if o.err == nil {
+		o.err = err
+	}
+	o.mu.Unlock()
+	o.stop.Store(true)
+}
+
+// run is pass 2: it starts the workers, feeds them s, and returns once
+// every worker has returned, with the call's first failure. A panic in
+// the feed stops the workers and waits for them before it unwinds.
+func (o *oracle) run(s trace.Stream) (err error) {
+	o.wg.Add(len(o.in))
+	for w := range o.in {
+		o.in[w] = make(chan []item, queueDepth)
+		go o.work(w)
+	}
+	fed := false
+	defer func() {
+		if !fed {
+			o.stop.Store(true)
+		}
+		for _, ch := range o.in {
+			close(ch)
+		}
+		o.wg.Wait()
+		err = o.err
+	}()
+	if err := o.feed(s); err != nil {
+		o.fail(err)
+	}
+	fed = true
+	return nil
+}
+
+// feed pulls s once, holds each request to its pod's metadata, and
+// batches it to the worker that owns the pod's host. It returns nil
+// early when a worker has failed, leaving the failure to run.
+func (o *oracle) feed(s trace.Stream) error {
+	batches := make([][]item, len(o.in))
+	next := trace.NextIntoFunc(s)
+	var r trace.Request
+	var prev time.Duration
+	seen := 0
+	for next(&r) {
+		if seen&cancelCheckMask == 0 {
+			if err := o.ctx.Err(); err != nil {
+				return err
+			}
+			if o.stop.Load() {
+				return nil
+			}
+		}
+		if seen > 0 && r.Start < prev {
+			return fmt.Errorf("diffsim: stream not sorted by arrival (request %d at %v after %v)", seen, r.Start, prev)
+		}
+		prev = r.Start
+		seen++
+		i, ok := o.slots[r.PodID]
+		if !ok {
+			return fmt.Errorf("diffsim: request %d names pod %d, which the pod scan does not list", seen-1, r.PodID)
+		}
+		ps := &o.state[i]
+		if err := o.check(int(i), ps, &r); err != nil {
+			return err
+		}
+		if ps.host < 0 {
+			o.rejected++
+			continue
+		}
+		w := int(ps.host) % len(o.in)
+		b := batches[w]
+		if b == nil {
+			b = batchPool.Get().(*[batchSize]item)[:0]
+		}
+		n := len(b)
+		b = b[:n+1]
+		b[n] = item{host: ps.host, pod: ps.slot, r: r}
+		if n+1 == batchSize {
+			o.in[w] <- b
+			b = nil
+		}
+		batches[w] = b
+	}
+	for w, b := range batches {
+		if len(b) > 0 {
+			o.in[w] <- b
+		}
+	}
+	for i := range o.state {
+		ps, p := &o.state[i], &o.pods[i]
+		if ps.n != p.NReqs {
+			return podMismatch(p.ID, "request count", ps.n, p.NReqs)
+		}
+		if ps.last != p.Last {
+			return podMismatch(p.ID, "last end", ps.last, p.Last)
+		}
+	}
+	return nil
+}
+
+// check holds r, a request of the pod at slot i, to the pod's scanned
+// metadata, re-deriving it as a per-request scan would: pods first
+// arrive in slot order, a pod's first request carries its function,
+// first arrival and init, and every request its flavor. feed checks
+// each pod's request count and last end once the stream ends.
+func (o *oracle) check(i int, ps *podState, r *trace.Request) error {
+	p := &o.pods[i]
+	if ps.n == 0 {
+		switch {
+		case i != o.firsts:
+			return podMismatch(p.ID, "first-arrival rank", o.firsts, i)
+		case r.FnID != p.FnID:
+			return podMismatch(p.ID, "function", r.FnID, p.FnID)
+		case r.Start != p.First:
+			return podMismatch(p.ID, "first arrival", r.Start, p.First)
+		case r.InitDuration != p.Init:
+			return podMismatch(p.ID, "init", r.InitDuration, p.Init)
+		}
+		o.firsts++
+	}
+	if r.AllocCPU != p.VCPU || r.AllocMemMB != p.MemMB {
+		return podMismatch(p.ID, "flavor", fmt.Sprintf("%gx%gMB", r.AllocCPU, r.AllocMemMB), fmt.Sprintf("%gx%gMB", p.VCPU, p.MemMB))
+	}
+	if end := r.Start + r.Turnaround(); ps.n == 0 || end > ps.last {
+		ps.last = end
+	}
+	ps.n++
+	return nil
+}
+
+// podMismatch is the error for a pod whose requests disagree with the
+// pod scan placement read.
+func podMismatch(id int, what string, stream, scan any) error {
+	return fmt.Errorf("diffsim: pod %d disagrees with the pod scan: %s %v in the stream, %v in the scan", id, what, stream, scan)
+}
+
+// work is worker w's goroutine: it feeds each arrival of its batches
+// to its host, starting the host on its first, and once the feeder
+// closes its channel, finishes its hosts. A failure, its own or
+// another's, leaves the rest of its batches unread; a panic becomes
+// the call's error, naming the host and carrying the stack.
+func (o *oracle) work(w int) {
+	defer o.wg.Done()
+	if workerExitHook != nil {
+		defer workerExitHook()
+	}
+	cur := -1 // the host being replayed
+	defer func() {
+		if p := recover(); p != nil {
+			o.fail(fmt.Errorf("diffsim: replay of host %d panicked: %v\n%s", cur, p, debug.Stack()))
+			for b := range o.in[w] { // drain, so the feeder never blocks on this worker
+				batchPool.Put((*[batchSize]item)(b[:batchSize]))
+			}
+		}
+	}()
+	for b := range o.in[w] {
+		for i := range b {
+			if o.stop.Load() {
+				break
+			}
+			it := &b[i]
+			cur = int(it.host)
+			h := o.hosts[cur]
+			if h == nil {
+				if hostStartHook != nil {
+					hostStartHook(cur)
+				}
+				h = newHost(o.ctx, o.cfg, &o.tf, cur, o.hostPods[cur])
+				o.hosts[cur] = h
+			}
+			if err := h.arrive(it.pod, &it.r); err != nil {
+				o.fail(err)
+			}
+		}
+		batchPool.Put((*[batchSize]item)(b[:batchSize]))
+	}
+	for cur = w; cur < len(o.hosts) && !o.stop.Load(); cur += len(o.in) {
+		if h := o.hosts[cur]; h != nil {
+			if err := h.finish(); err != nil {
+				o.fail(err)
+			}
+		}
+	}
+}
+
+// fold sums the replayed hosts in host order into the aggregate.
+func (o *oracle) fold() (Aggregate, error) {
+	cfg := o.cfg
+	agg := Aggregate{RejectedRequests: o.rejected}
+	for _, p := range o.pods {
+		if p.Host < 0 {
+			agg.RejectedSandboxes++
+		}
+	}
 	// Fault-masked placement offers, recomputed independently: a pod is
 	// masked when its first arrival falls inside any host's closed
 	// window — a pure function of the plan and the pods' first
-	// arrivals, never of the placement pass's internals.
+	// arrivals, which the feeder held to the stream, never of the
+	// placement pass's internals.
 	if plan := cfg.Faults; !plan.Empty() {
-		for _, p := range pods {
+		for _, p := range o.pods {
 			for hi := 0; hi < cfg.Hosts; hi++ {
 				if plan.UnavailableAt(hi, p.First) {
 					agg.FaultMaskedPods++
@@ -309,17 +637,14 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 		}
 	}
 
-	tf := billing.Compile(cfg.Profile.Billing)
-	hosts, err := replayHosts(ctx, cfg, &tf, work, tr)
-	if err != nil {
-		return Aggregate{}, err
-	}
 	busy := make([]float64, cfg.Hosts)
 	lat := stats.NewLogHist(fleet.LatencyHistConfig())
 	slow := stats.NewLogHist(fleet.SlowdownHistConfig())
 	recov := stats.NewLogHist(fleet.RecoveryHistConfig())
-	for hi := range hosts {
-		h := &hosts[hi]
+	for hi, h := range o.hosts {
+		if h == nil {
+			continue // served nothing: every tally is zero
+		}
 		busy[hi] = h.busyVCPUSecs
 		if err := lat.Merge(h.lat); err != nil {
 			return Aggregate{}, err
@@ -346,13 +671,13 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 		agg.ContentionDelaySeconds += h.contentionSecs
 		agg.IdleHeldVCPUSeconds += h.idleHeldCPUSecs
 		agg.PolicyFunctions += h.kaFunctions
-		agg.PolicyDecisions += h.ka.Decisions
-		agg.PolicyObservations += h.ka.Observations
-		agg.AdaptiveLearnedDecisions += h.ka.Learned
-		agg.BanditExplorations += h.ka.Explored
-		agg.BanditExploitations += h.ka.Exploited
-		agg.BanditRealizedCost += h.ka.RealizedCost
-		agg.BanditRegret += h.ka.Regret
+		agg.PolicyDecisions += h.kaStats.Decisions
+		agg.PolicyObservations += h.kaStats.Observations
+		agg.AdaptiveLearnedDecisions += h.kaStats.Learned
+		agg.BanditExplorations += h.kaStats.Explored
+		agg.BanditExploitations += h.kaStats.Exploited
+		agg.BanditRealizedCost += h.kaStats.RealizedCost
+		agg.BanditRegret += h.kaStats.Regret
 		if h.now > agg.Makespan {
 			agg.Makespan = h.now
 		}
@@ -397,101 +722,6 @@ func replay(ctx context.Context, cfg fleet.Config, tr *trace.Trace) (Aggregate, 
 	return agg, nil
 }
 
-// hostWork is one host's share of the placed trace: its pods, and its
-// arrivals in trace order, each naming its pod by slot in pods.
-type hostWork struct {
-	pods     []fleet.PodAssignment
-	arrivals []arrival
-}
-
-// splitHosts hands the placed trace to its hosts in one walk over the
-// trace, in trace order: the order fleet.SimulateStream feeds its
-// hosts at any worker count, so same-instant arrivals reach a host's
-// sweep in the order they reach the fleet's. Each host's arrival list
-// is presized from its pods' request counts. Rejected pods and their
-// requests are counted into agg.
-func splitHosts(hosts int, pods []fleet.PodAssignment, tr *trace.Trace, agg *Aggregate) []hostWork {
-	// Each pod's host (-1 when rejected) and its slot on that host.
-	type podSlot struct{ host, slot int32 }
-	slots := make(map[int]podSlot, len(pods))
-	work := make([]hostWork, hosts)
-	for _, p := range pods {
-		if p.Host < 0 {
-			agg.RejectedSandboxes++
-			slots[p.ID] = podSlot{host: -1}
-			continue
-		}
-		w := &work[p.Host]
-		slots[p.ID] = podSlot{host: int32(p.Host), slot: int32(len(w.pods))}
-		w.pods = append(w.pods, p)
-	}
-	for hi := range work {
-		w := &work[hi]
-		n := 0
-		for _, p := range w.pods {
-			n += p.NReqs
-		}
-		w.arrivals = make([]arrival, 0, n)
-	}
-	for ri := range tr.Requests {
-		r := &tr.Requests[ri]
-		s := slots[r.PodID]
-		if s.host < 0 {
-			agg.RejectedRequests++
-			continue
-		}
-		w := &work[s.host]
-		w.arrivals = append(w.arrivals, arrival{at: r.Start, pod: s.slot, req: int32(ri)})
-	}
-	return work
-}
-
-// cancelCheckMask gates how often a host's event loop polls its
-// context: every (mask+1) events, the bound internal/fleet's streaming
-// loops keep too.
-const cancelCheckMask = 0x3ff
-
-// replayHosts runs replayHost for every host on cfg.Workers goroutines
-// (zero means GOMAXPROCS), each taking the next unreplayed host. Hosts
-// share only read-only inputs, so each host's state is the same
-// whichever goroutine replayed it; the caller folds them in host order.
-func replayHosts(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, work []hostWork, tr *trace.Trace) ([]hostState, error) {
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]hostState, cfg.Hosts)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, cfg.Hosts) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				hi := int(next.Add(1) - 1)
-				if hi >= len(out) || ctx.Err() != nil {
-					return
-				}
-				out[hi] = replayHost(ctx, cfg, tf, hi, &work[hi], tr)
-			}
-		}()
-	}
-	wg.Wait()
-	// A cancelled replay leaves hosts unreplayed or cut short: no
-	// aggregate is built from them.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// arrival is one request in a host's arrival list.
-type arrival struct {
-	at  time.Duration
-	pod int32 // pod slot (index into the host's pod list)
-	req int32 // trace request index
-}
-
 // Kinds of the pending events on a host's heap.
 const (
 	evComplete = iota
@@ -501,19 +731,22 @@ const (
 
 // event is one pending runtime event on a host's heap. seq breaks
 // same-instant ties FIFO, matching simtime.Clock's scheduling-order
-// rule. Arrivals never enter the heap: they are walked from the host's
-// arrival list in trace order and win every tie, as if all of them had
-// been seeded, in that order, before the sweep starts. Then come the
-// fault plan's events, seeded in plan order, then the completions and
-// expiries the sweep schedules — so at one instant arrivals fire
+// rule. Arrivals never enter the heap: each one retires only the
+// events strictly before it, so it wins every tie, as if all of them
+// had been seeded, in stream order, before the sweep starts. Then come
+// the fault plan's events, seeded in plan order, then the completions
+// and expiries the sweep schedules — so at one instant arrivals fire
 // first, then faults, then runtime events: the exact order the fleet
 // replay produces.
 type event struct {
-	at    time.Duration
-	seq   uint64
-	pod   int32  // pod slot (index into the host's pod list)
-	reqID int32  // in-flight id (evComplete)
-	gen   uint32 // sandbox generation (evExpire); stale events are skipped
+	at  time.Duration
+	seq uint64
+	pod int32 // pod slot (index into the host's pod list)
+	id  int32 // in-flight id (evComplete)
+	// gen is the sandbox's generation (evExpire) or the in-flight id's
+	// (evComplete) when the event was scheduled; events whose
+	// generation has moved on are skipped.
+	gen   uint32
 	kind  uint8
 	fkind faults.Kind // fault effect (evFault)
 }
@@ -545,28 +778,41 @@ func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	last := q[n]
+	q[0] = q[n]
 	q = q[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && q[r].before(&q[c]) {
-				c = r
-			}
-			if !q[c].before(&last) {
-				break
-			}
-			q[i] = q[c]
-			i = c
-		}
-		q[i] = last
+		q.down(0)
 	}
 	*h = q
 	return top
+}
+
+// down sifts q[i] down to its place below i.
+func (q eventHeap) down(i int) {
+	e := q[i]
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
+}
+
+// heapify restores the heap order of q in linear time.
+func (q eventHeap) heapify() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // sandboxState is one pod's live-sandbox bookkeeping.
@@ -590,8 +836,60 @@ type inflightTask struct {
 	cpu   time.Duration
 }
 
-// hostState is the independent interpreter's per-host accumulator.
-type hostState struct {
+// flight is an in-flight id's entry: the request's index in the
+// host's in-flight list while it runs, and the id's generation, which
+// moves on when the request completes or is killed, so the id can be
+// reused at once and the completion event of a killed request is
+// skipped.
+type flight struct {
+	pos int32
+	gen uint32
+}
+
+// deferredReq is an arrival a closed host queued: its pod slot and a
+// copy of the request.
+type deferredReq struct {
+	pod int32
+	r   trace.Request
+}
+
+// host is the independent interpreter of one host: fed the host's
+// arrivals in stream order (arrive) and then closed (finish), it keeps
+// the host's pending events on its own heap and its tallies. The
+// keep-alive stream is stats.NewRand(fleet.ShardSeed(seed, host)) with
+// windows drawn in event order — the fleet's documented shard-stream
+// contract. In adaptive modes the replay constructs its own decider
+// per function from keepalive.FunctionSeed and feeds it the identical
+// observation/decision sequence, so every counter the fleet reports is
+// re-derived by an independent instance of the same state machine.
+// Requests are billed through tf, cfg's compiled tariff, at each
+// request's own recorded flavor. After an error the tally is partial
+// and the host must not be fed again.
+type host struct {
+	ctx  context.Context
+	cfg  *fleet.Config
+	tf   *billing.Tariff
+	ka   keepalive.Policy
+	idx  int
+	pods []fleet.PodAssignment
+	rng  *stats.Rand
+
+	boxes       []sandboxState // by pod slot
+	fnInstances map[int]int
+	// Adaptive keep-alive modes: this replay's own per-function decider
+	// instances, plus each pod's pending go-idle instant (-1 when there
+	// is no gap to observe). Static mode leaves deciders nil and the
+	// legacy draw path untouched.
+	deciders map[int]keepalive.Decider
+	idleFrom []time.Duration
+
+	q   eventHeap
+	seq uint64
+	// compactAt is the heap length at which schedule drops the heap's
+	// cancelled events.
+	compactAt int
+	polls     int
+
 	served    int
 	cold      int
 	reCold    int
@@ -615,11 +913,9 @@ type hostState struct {
 	idleHeldCPU float64
 	idleCount   int
 
-	inflight []inflightTask
-	// pos maps an in-flight id (its index: ids count admissions) to the
-	// request's index in inflight, or -1 once it completed or was
-	// killed.
-	pos        []int32
+	inflight   []inflightTask
+	flights    []flight // by in-flight id
+	freeIDs    []int32  // in-flight ids free for reuse
 	peakDemand float64
 	peakTasks  []inflightTask
 
@@ -627,7 +923,7 @@ type hostState struct {
 	drainDepth   int
 	downDepth    int
 	downSince    time.Duration
-	deferred     []arrival
+	deferred     []deferredReq
 	evicted      int
 	killed       int
 	deferredReqs int
@@ -640,356 +936,442 @@ type hostState struct {
 	// Keep-alive decision-layer tally, summed from this replay's own
 	// decider instances in function-ID order (mirroring the fleet's
 	// merge discipline). Zero in static mode.
-	ka          keepalive.Stats
+	kaStats     keepalive.Stats
 	kaFunctions int
 }
 
-// replayHost sweeps one host's pods chronologically and returns its
-// tally. The keep-alive stream is stats.NewRand(fleet.ShardSeed(seed,
-// host)) with windows drawn in event order — the fleet's documented
-// shard-stream contract. In adaptive modes the replay constructs its
-// own decider per function from keepalive.FunctionSeed and feeds it
-// the identical observation/decision sequence, so every counter the
-// fleet reports is re-derived by an independent instance of the same
-// state machine. Requests are billed through tf, cfg's compiled
-// tariff, at each request's own recorded flavor. When ctx is cancelled
-// the sweep stops early and the tally is partial; the caller discards
-// it.
-func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostIdx int, w *hostWork, tr *trace.Trace) hostState {
-	var h hostState
-	pods, arrivals := w.pods, w.arrivals
-	if len(pods) == 0 {
-		return h
+// newHost builds host idx's interpreter over its pods and seeds the
+// fault plan's events for it. Hosts are built on their first arrival
+// only, matching the fleet's lazy host creation, so at one instant a
+// fault beats any runtime-scheduled completion or expiry, and a host
+// that serves nothing seeds nothing.
+func newHost(ctx context.Context, cfg *fleet.Config, tf *billing.Tariff, idx int, pods []fleet.PodAssignment) *host {
+	h := &host{
+		ctx:         ctx,
+		cfg:         cfg,
+		tf:          tf,
+		ka:          cfg.Profile.KeepAlive,
+		idx:         idx,
+		pods:        pods,
+		rng:         stats.NewRand(fleet.ShardSeed(cfg.Seed, idx)),
+		boxes:       make([]sandboxState, len(pods)),
+		fnInstances: make(map[int]int),
+		compactAt:   minCompact,
+		lat:         stats.NewLogHist(fleet.LatencyHistConfig()),
+		slow:        stats.NewLogHist(fleet.SlowdownHistConfig()),
+		recov:       stats.NewLogHist(fleet.RecoveryHistConfig()),
 	}
-	h.lat = stats.NewLogHist(fleet.LatencyHistConfig())
-	h.slow = stats.NewLogHist(fleet.SlowdownHistConfig())
-	h.recov = stats.NewLogHist(fleet.RecoveryHistConfig())
-	rng := stats.NewRand(fleet.ShardSeed(cfg.Seed, hostIdx))
-	ka := cfg.Profile.KeepAlive
-
-	sandboxes := make([]sandboxState, len(pods))
-	fnInstances := make(map[int]int)
-
-	// Adaptive keep-alive modes: this replay's own per-function decider
-	// instances, plus each pod's pending go-idle instant (-1 when there
-	// is no gap to observe). Nil/static specs leave deciders nil and
-	// the legacy draw path untouched.
-	var deciders map[int]keepalive.Decider
-	var idleFrom []time.Duration
 	if cfg.KeepAlive != nil && cfg.KeepAlive.Mode != keepalive.ModeStatic {
-		deciders = make(map[int]keepalive.Decider)
-		idleFrom = make([]time.Duration, len(pods))
-		for i := range idleFrom {
-			idleFrom[i] = -1
+		h.deciders = make(map[int]keepalive.Decider)
+		h.idleFrom = make([]time.Duration, len(pods))
+		for i := range h.idleFrom {
+			h.idleFrom[i] = -1
 		}
 	}
-	getDecider := func(fnID int) keepalive.Decider {
-		d := deciders[fnID]
-		if d == nil {
-			var err error
-			d, err = cfg.KeepAlive.NewDecider(ka, keepalive.FunctionSeed(*cfg.KeepAlive.Seed, hostIdx, fnID))
-			if err != nil {
-				// Unreachable: fleet.Place validated the config.
-				panic(err)
+	for _, fe := range cfg.Faults.HostEvents(idx) {
+		h.schedule(event{at: fe.At, kind: evFault, fkind: fe.Kind})
+	}
+	return h
+}
+
+// minCompact is the least heap length at which a host compacts its
+// heap.
+const minCompact = 256
+
+// schedule pushes e with the next sequence number. Cancelled events
+// stay on the heap until they come due (a warm hit cancels an expiry
+// by moving its sandbox's generation on), so once the heap reaches
+// compactAt it first drops them: the heap stays within a constant
+// factor of the host's peak live events, however many events it has
+// scheduled, at an amortized constant cost per push.
+func (h *host) schedule(e event) {
+	if len(h.q) >= h.compactAt {
+		q := h.q[:0]
+		for i := range h.q {
+			if h.pending(&h.q[i]) {
+				q = append(q, h.q[i])
 			}
-			deciders[fnID] = d
 		}
-		return d
+		clear(h.q[len(q):])
+		q.heapify()
+		h.q = q
+		h.compactAt = max(2*len(q), minCompact)
+	}
+	e.seq = h.seq
+	h.seq++
+	h.q.push(e)
+}
+
+// pending reports whether e is still to fire: a fault always, a
+// completion while its in-flight id keeps the generation it was
+// scheduled in, an expiry while its sandbox idles in the generation
+// that scheduled it. retire skips the others unapplied, so dropping
+// them from the heap changes nothing.
+func (h *host) pending(e *event) bool {
+	switch e.kind {
+	case evComplete:
+		return h.flights[e.id].gen == e.gen
+	case evExpire:
+		sb := &h.boxes[e.pod]
+		return sb.live && sb.idle && sb.gen == e.gen
+	}
+	return true
+}
+
+// poll counts one event and, every cancelCheckMask+1 events, returns
+// the context's error.
+func (h *host) poll() error {
+	n := h.polls
+	h.polls++
+	if n&cancelCheckMask == 0 {
+		return h.ctx.Err()
+	}
+	return nil
+}
+
+// decider returns the host's decider for function fnID, building it on
+// first use.
+func (h *host) decider(fnID int) (keepalive.Decider, error) {
+	d := h.deciders[fnID]
+	if d == nil {
+		var err error
+		d, err = h.cfg.KeepAlive.NewDecider(h.ka, keepalive.FunctionSeed(*h.cfg.KeepAlive.Seed, h.idx, fnID))
+		if err != nil {
+			return nil, fmt.Errorf("diffsim: host %d, function %d: %w", h.idx, fnID, err)
+		}
+		h.deciders[fnID] = d
+	}
+	return d, nil
+}
+
+// account integrates delivered and idle-held capacity up to now.
+func (h *host) account(now time.Duration) {
+	// Mirrors the fleet's convert-multiply (not Duration.Seconds): the
+	// two interpreters must produce bit-identical integrals.
+	if dt := float64(now-h.lastAccount) * 1e-9; dt > 0 {
+		delivered := h.inFlight
+		if delivered > h.cfg.Host.VCPU {
+			delivered = h.cfg.Host.VCPU
+		}
+		h.busyVCPUSecs += delivered * dt
+		h.idleHeldCPUSecs += h.idleHeldCPU * dt
+	}
+	h.lastAccount = now
+}
+
+// arrive hands the host its next arrival, r, whose pod is at slot pi
+// on the host. It first retires every pending event strictly before
+// the arrival — the arrival wins a tie, as in the fleet, where a host
+// runs only strictly earlier events before admitting — then admits r,
+// or defers it while the host takes no work.
+func (h *host) arrive(pi int32, r *trace.Request) error {
+	for len(h.q) > 0 && h.q[0].at < r.Start {
+		if err := h.retire(); err != nil {
+			return err
+		}
+	}
+	if err := h.poll(); err != nil {
+		return err
+	}
+	h.now = r.Start
+	h.account(r.Start)
+	if h.drainDepth != 0 || h.downDepth != 0 {
+		h.deferred = append(h.deferred, deferredReq{pod: pi, r: *r})
+		h.deferredReqs++
+		return nil
+	}
+	return h.admit(r.Start, pi, r)
+}
+
+// admit runs the admission path for one request at one instant —
+// shared by live arrivals and the deferred replays a recovery
+// triggers, exactly as the fleet's arrive() serves both.
+func (h *host) admit(now time.Duration, pi int32, r *trace.Request) error {
+	p := &h.pods[pi]
+	sb := &h.boxes[pi]
+	if h.deciders != nil && h.idleFrom[pi] >= 0 {
+		// Mirror the fleet's observation point: the realized idle gap
+		// is fed back at the pod's next admission, deferred replays
+		// included.
+		d, err := h.decider(p.FnID)
+		if err != nil {
+			return err
+		}
+		d.ObserveIdle(now - h.idleFrom[pi])
+		h.idleFrom[pi] = -1
+	}
+	cold := false
+	var init time.Duration
+	switch {
+	case !sb.live:
+		cold = true
+		init = p.Init
+		if init <= 0 {
+			init = h.ka.ResidualColdStart
+		}
+		if !r.ColdStart {
+			h.reCold++
+		}
+		sb.live = true
+		sb.idle = false
+		sb.activeReqs = 0
+		h.fnInstances[p.FnID]++
+		h.sandboxes++
+	case sb.idle:
+		sb.idle = false
+		sb.gen++ // cancels the pending expiry
+		h.idleCount--
+		if h.idleCount == 0 {
+			h.idleHeldCPU = 0 // exact: no float residue once nothing is idle
+		} else {
+			h.idleHeldCPU -= h.ka.IdleCPU(p.VCPU)
+		}
 	}
 
-	h.pos = make([]int32, 0, len(arrivals))
+	demand := h.inFlight + p.VCPU
+	factor := 1.0
+	if demand > h.cfg.Host.VCPU {
+		factor = demand / h.cfg.Host.VCPU
+	}
+	effective := time.Duration(float64(r.Duration) * factor)
+	h.contentionSecs += float64(effective-r.Duration) * 1e-9
+	h.slow.Observe(factor)
 
-	// The fault plan seeds first (and only on hosts that serve — this
-	// function early-returns above on an empty pod list, matching the
-	// fleet's lazy sim creation): at one instant a fault beats any
-	// runtime-scheduled completion or expiry.
-	var q eventHeap
-	var seq uint64
-	for _, fe := range cfg.Faults.HostEvents(hostIdx) {
-		q.push(event{at: fe.At, seq: seq, kind: evFault, fkind: fe.Kind})
-		seq++
+	var id int32
+	if n := len(h.freeIDs); n > 0 {
+		id = h.freeIDs[n-1]
+		h.freeIDs = h.freeIDs[:n-1]
+	} else {
+		id = int32(len(h.flights))
+		h.flights = append(h.flights, flight{})
+	}
+	f := &h.flights[id]
+	f.pos = int32(len(h.inflight))
+	h.inflight = append(h.inflight, inflightTask{id: id, pod: pi, alloc: p.VCPU, cpu: r.CPUTime})
+	if demand > h.peakDemand {
+		h.peakDemand = demand
+		snap := h.inflight
+		if len(snap) > fleet.MaxProbeTasks {
+			snap = snap[:fleet.MaxProbeTasks] // mirror the fleet's capped snapshot
+		}
+		h.peakTasks = append(h.peakTasks[:0], snap...)
 	}
 
-	account := func(now time.Duration) {
-		// Mirrors the fleet's convert-multiply (not Duration.Seconds):
-		// the two interpreters must produce bit-identical integrals.
-		if dt := float64(now-h.lastAccount) * 1e-9; dt > 0 {
-			delivered := h.inFlight
-			if delivered > cfg.Host.VCPU {
-				delivered = cfg.Host.VCPU
-			}
-			h.busyVCPUSecs += delivered * dt
-			h.idleHeldCPUSecs += h.idleHeldCPU * dt
-		}
-		h.lastAccount = now
+	h.inFlight += p.VCPU
+	sb.activeReqs++
+	h.served++
+	if cold {
+		h.cold++
 	}
+	latency := h.cfg.Profile.ServingOverhead + init + effective
+	h.lat.Observe(float64(latency) * 1e-6)
 
-	// admit runs the admission path for one request at one instant —
-	// shared by live arrivals and the deferred replays a recovery
-	// triggers, exactly as the fleet's arrive() serves both.
-	admit := func(now time.Duration, pi, ri int32) {
-		p := &pods[pi]
-		sb := &sandboxes[pi]
-		r := &tr.Requests[ri]
-		if deciders != nil && idleFrom[pi] >= 0 {
-			// Mirror the fleet's observation point: the realized idle gap
-			// is fed back at the pod's next admission, deferred replays
-			// included.
-			getDecider(p.FnID).ObserveIdle(now - idleFrom[pi])
-			idleFrom[pi] = -1
-		}
-		cold := false
-		var init time.Duration
-		switch {
-		case !sb.live:
-			cold = true
-			init = p.Init
-			if init <= 0 {
-				init = ka.ResidualColdStart
-			}
-			if !r.ColdStart {
-				h.reCold++
-			}
-			sb.live = true
-			sb.idle = false
-			sb.activeReqs = 0
-			fnInstances[p.FnID]++
-			h.sandboxes++
-		case sb.idle:
-			sb.idle = false
-			sb.gen++ // cancels the pending expiry
-			h.idleCount--
-			if h.idleCount == 0 {
-				h.idleHeldCPU = 0 // exact: no float residue once nothing is idle
-			} else {
-				h.idleHeldCPU -= ka.IdleCPU(p.VCPU)
-			}
-		}
-
-		demand := h.inFlight + p.VCPU
-		factor := 1.0
-		if demand > cfg.Host.VCPU {
-			factor = demand / cfg.Host.VCPU
-		}
-		effective := time.Duration(float64(r.Duration) * factor)
-		h.contentionSecs += float64(effective-r.Duration) * 1e-9
-		h.slow.Observe(factor)
-
-		reqID := int32(len(h.pos))
-		h.pos = append(h.pos, int32(len(h.inflight)))
-		h.inflight = append(h.inflight, inflightTask{id: reqID, pod: pi, alloc: p.VCPU, cpu: r.CPUTime})
-		if demand > h.peakDemand {
-			h.peakDemand = demand
-			snap := h.inflight
-			if len(snap) > fleet.MaxProbeTasks {
-				snap = snap[:fleet.MaxProbeTasks] // mirror the fleet's capped snapshot
-			}
-			h.peakTasks = append(h.peakTasks[:0], snap...)
-		}
-
-		h.inFlight += p.VCPU
-		sb.activeReqs++
-		h.served++
-		if cold {
-			h.cold++
-		}
-		latency := cfg.Profile.ServingOverhead + init + effective
-		h.lat.Observe(float64(latency) * 1e-6)
-
-		u := billing.Usage{Duration: effective, CPUTime: r.CPUTime, MemUsedGB: r.MemUsedMB / 1024}
-		if cold {
-			u.InitDuration = init
-		}
-		f := tf.Flavor(r.AllocCPU, r.AllocMemMB)
-		var ch billing.Charge
-		tf.Charge(&f, u, &ch)
-		h.cost += ch.Total()
-		h.fees += ch.Fee
-		h.billedCPUSeconds += ch.CPUSeconds
-		h.billedMemGBs += ch.MemGBSeconds
-
-		q.push(event{at: now + init + effective, seq: seq, kind: evComplete, pod: pi, reqID: reqID})
-		seq++
+	u := billing.Usage{Duration: effective, CPUTime: r.CPUTime, MemUsedGB: r.MemUsedMB / 1024}
+	if cold {
+		u.InitDuration = init
 	}
+	fl := h.tf.Flavor(r.AllocCPU, r.AllocMemMB)
+	var ch billing.Charge
+	h.tf.Charge(&fl, u, &ch)
+	h.cost += ch.Total()
+	h.fees += ch.Fee
+	h.billedCPUSeconds += ch.CPUSeconds
+	h.billedMemGBs += ch.MemGBSeconds
 
-	// evictIdle mirrors the fleet's bulk idle eviction: integer-only
-	// loop, then the idle holdings clamp to exactly zero.
-	evictIdle := func() {
-		for pi := range sandboxes {
-			sb := &sandboxes[pi]
-			if !sb.live || !sb.idle {
-				continue
-			}
-			sb.live = false
-			sb.idle = false
-			sb.gen++ // the pending expiry never fires
-			fnInstances[pods[pi].FnID]--
-			h.evicted++
-		}
-		h.idleHeldCPU = 0
-		h.idleCount = 0
-	}
+	h.schedule(event{at: now + init + effective, kind: evComplete, pod: pi, id: id, gen: f.gen})
+	return nil
+}
 
-	// replayDeferred re-admits queued arrivals FIFO once the host
-	// accepts again, recording each one's recovery delay.
-	replayDeferred := func(now time.Duration) {
-		if h.drainDepth != 0 || h.downDepth != 0 {
-			return
-		}
-		for _, d := range h.deferred {
-			h.recov.Observe(float64(now-d.at) * 1e-6) // ms
-			admit(now, d.pod, d.req)
-		}
-		h.deferred = h.deferred[:0]
-	}
+// release retires in-flight id: its generation moves on, which voids
+// its pending completion event if it still has one, and the id is
+// free for reuse.
+func (h *host) release(id int32) {
+	h.flights[id].gen++
+	h.freeIDs = append(h.freeIDs, id)
+}
 
-	next := 0 // the first arrival not yet walked
-	for polls := 0; next < len(arrivals) || len(q) > 0; polls++ {
-		if polls&cancelCheckMask == 0 && ctx.Err() != nil {
-			return h
-		}
-		if next < len(arrivals) && (len(q) == 0 || arrivals[next].at <= q[0].at) {
-			// The arrival wins a tie with the heap top: every arrival
-			// precedes every fault and runtime event in seq order.
-			a := arrivals[next]
-			next++
-			h.now = a.at
-			account(a.at)
-			if h.drainDepth != 0 || h.downDepth != 0 {
-				h.deferred = append(h.deferred, a)
-				h.deferredReqs++
-				continue
-			}
-			admit(a.at, a.pod, a.req)
+// evictIdle mirrors the fleet's bulk idle eviction: integer-only loop,
+// then the idle holdings clamp to exactly zero.
+func (h *host) evictIdle() {
+	for pi := range h.boxes {
+		sb := &h.boxes[pi]
+		if !sb.live || !sb.idle {
 			continue
 		}
+		sb.live = false
+		sb.idle = false
+		sb.gen++ // the pending expiry never fires
+		h.fnInstances[h.pods[pi].FnID]--
+		h.evicted++
+	}
+	h.idleHeldCPU = 0
+	h.idleCount = 0
+}
 
-		ev := q.pop()
-		p := &pods[ev.pod]
-		sb := &sandboxes[ev.pod]
-		switch ev.kind {
-		case evExpire:
-			if !sb.live || !sb.idle || sb.gen != ev.gen {
-				continue // lazily-cancelled timer: never fires, no accounting
-			}
-			h.now = ev.at
-			account(ev.at)
+// replayDeferred re-admits queued arrivals FIFO once the host accepts
+// again, recording each one's recovery delay.
+func (h *host) replayDeferred(now time.Duration) error {
+	if h.drainDepth != 0 || h.downDepth != 0 {
+		return nil
+	}
+	for i := range h.deferred {
+		d := &h.deferred[i]
+		h.recov.Observe(float64(now-d.r.Start) * 1e-6) // ms
+		if err := h.admit(now, d.pod, &d.r); err != nil {
+			return err
+		}
+	}
+	h.deferred = h.deferred[:0]
+	return nil
+}
+
+// retire pops the earliest pending event and applies it.
+func (h *host) retire() error {
+	if err := h.poll(); err != nil {
+		return err
+	}
+	ev := h.q.pop()
+	if !h.pending(&ev) {
+		// A lazily cancelled expiry, or the completion of a request a
+		// hard-down killed (the fleet cancelled that timer): it never
+		// fires and accounts nothing.
+		return nil
+	}
+	switch ev.kind {
+	case evExpire:
+		p := &h.pods[ev.pod]
+		sb := &h.boxes[ev.pod]
+		h.now = ev.at
+		h.account(ev.at)
+		sb.live = false
+		sb.idle = false
+		sb.gen++
+		h.idleCount--
+		if h.idleCount == 0 {
+			h.idleHeldCPU = 0 // exact: no float residue once nothing is idle
+		} else {
+			h.idleHeldCPU -= h.ka.IdleCPU(p.VCPU)
+		}
+		h.fnInstances[p.FnID]--
+		h.expired++
+
+	case evComplete:
+		f := &h.flights[ev.id]
+		p := &h.pods[ev.pod]
+		sb := &h.boxes[ev.pod]
+		h.now = ev.at
+		h.account(ev.at)
+		h.inFlight -= p.VCPU
+		sb.activeReqs--
+		pos, last := f.pos, len(h.inflight)-1
+		h.inflight[pos] = h.inflight[last]
+		h.flights[h.inflight[pos].id].pos = pos
+		h.inflight = h.inflight[:last]
+		h.release(ev.id)
+		if sb.activeReqs > 0 {
+			return nil
+		}
+		if h.drainDepth != 0 || sb.evictOnIdle {
+			// Draining host or storm-flushed sandbox: evict on the
+			// spot, drawing no keep-alive window (the skipped draw
+			// keeps this stream aligned with the fleet's).
 			sb.live = false
-			sb.idle = false
 			sb.gen++
-			h.idleCount--
-			if h.idleCount == 0 {
-				h.idleHeldCPU = 0 // exact: no float residue once nothing is idle
-			} else {
-				h.idleHeldCPU -= ka.IdleCPU(p.VCPU)
+			sb.evictOnIdle = false
+			h.fnInstances[p.FnID]--
+			h.evicted++
+			return nil
+		}
+		sb.idle = true
+		h.idleCount++
+		h.idleHeldCPU += h.ka.IdleCPU(p.VCPU)
+		var window time.Duration
+		if h.deciders == nil {
+			window = h.ka.Window(h.rng, h.fnInstances[p.FnID])
+		} else {
+			d, err := h.decider(p.FnID)
+			if err != nil {
+				return err
 			}
-			fnInstances[p.FnID]--
-			h.expired++
+			window = d.Window(h.fnInstances[p.FnID])
+			h.idleFrom[ev.pod] = ev.at
+		}
+		h.schedule(event{at: ev.at + window, kind: evExpire, pod: ev.pod, gen: sb.gen})
 
-		case evComplete:
-			pos := h.pos[ev.reqID]
-			if pos < 0 {
-				continue // killed by a hard-down: the fleet cancelled this timer
+	case evFault:
+		h.now = ev.at
+		h.account(ev.at)
+		switch ev.fkind {
+		case faults.DrainStart:
+			h.drainDepth++
+			h.evictIdle()
+		case faults.DrainEnd:
+			h.drainDepth--
+			return h.replayDeferred(ev.at)
+		case faults.Down:
+			if h.downDepth == 0 {
+				h.downSince = ev.at
 			}
-			h.now = ev.at
-			account(ev.at)
-			h.inFlight -= p.VCPU
-			sb.activeReqs--
-			last := len(h.inflight) - 1
-			h.inflight[pos] = h.inflight[last]
-			h.pos[h.inflight[pos].id] = pos
-			h.inflight = h.inflight[:last]
-			h.pos[ev.reqID] = -1
-			if sb.activeReqs > 0 {
-				continue
+			h.downDepth++
+			for _, t := range h.inflight {
+				h.boxes[t.pod].activeReqs--
+				h.release(t.id)
+				h.killed++
 			}
-			if h.drainDepth != 0 || sb.evictOnIdle {
-				// Draining host or storm-flushed sandbox: evict on the
-				// spot, drawing no keep-alive window (the skipped draw
-				// keeps this stream aligned with the fleet's).
-				sb.live = false
-				sb.gen++
-				sb.evictOnIdle = false
-				fnInstances[p.FnID]--
+			h.inflight = h.inflight[:0]
+			h.inFlight = 0 // exact: nothing executes on a dead host
+			for pi := range h.boxes {
+				s := &h.boxes[pi]
+				if !s.live {
+					continue
+				}
+				s.live = false
+				s.idle = false
+				s.gen++
+				s.evictOnIdle = false
+				h.fnInstances[h.pods[pi].FnID]--
 				h.evicted++
-				continue
 			}
-			sb.idle = true
-			h.idleCount++
-			h.idleHeldCPU += ka.IdleCPU(p.VCPU)
-			var window time.Duration
-			if deciders == nil {
-				window = ka.Window(rng, fnInstances[p.FnID])
-			} else {
-				window = getDecider(p.FnID).Window(fnInstances[p.FnID])
-				idleFrom[ev.pod] = ev.at
+			h.idleHeldCPU = 0
+			h.idleCount = 0
+		case faults.Up:
+			h.downDepth--
+			if h.downDepth == 0 {
+				h.downSecs += float64(ev.at-h.downSince) * 1e-9
 			}
-			q.push(event{at: ev.at + window, seq: seq, kind: evExpire, pod: ev.pod, gen: sb.gen})
-			seq++
-
-		case evFault:
-			h.now = ev.at
-			account(ev.at)
-			switch ev.fkind {
-			case faults.DrainStart:
-				h.drainDepth++
-				evictIdle()
-			case faults.DrainEnd:
-				h.drainDepth--
-				replayDeferred(ev.at)
-			case faults.Down:
-				if h.downDepth == 0 {
-					h.downSince = ev.at
-				}
-				h.downDepth++
-				for _, t := range h.inflight {
-					sandboxes[t.pod].activeReqs--
-					h.pos[t.id] = -1
-					h.killed++
-				}
-				h.inflight = h.inflight[:0]
-				h.inFlight = 0 // exact: nothing executes on a dead host
-				for pi := range sandboxes {
-					s := &sandboxes[pi]
-					if !s.live {
-						continue
-					}
-					s.live = false
-					s.idle = false
-					s.gen++
-					s.evictOnIdle = false
-					fnInstances[pods[pi].FnID]--
-					h.evicted++
-				}
-				h.idleHeldCPU = 0
-				h.idleCount = 0
-			case faults.Up:
-				h.downDepth--
-				if h.downDepth == 0 {
-					h.downSecs += float64(ev.at-h.downSince) * 1e-9
-				}
-				replayDeferred(ev.at)
-			case faults.Flush:
-				evictIdle()
-				for pi := range sandboxes {
-					if s := &sandboxes[pi]; s.live {
-						s.evictOnIdle = true
-					}
+			return h.replayDeferred(ev.at)
+		case faults.Flush:
+			h.evictIdle()
+			for pi := range h.boxes {
+				if s := &h.boxes[pi]; s.live {
+					s.evictOnIdle = true
 				}
 			}
 		}
 	}
-	account(h.now)
-	if len(deciders) > 0 {
+	return nil
+}
+
+// finish retires the host's remaining events and closes its accounts:
+// the decider telemetry, summed in function-ID order, and the CFS
+// probe of its peak co-tenancy.
+func (h *host) finish() error {
+	for len(h.q) > 0 {
+		if err := h.retire(); err != nil {
+			return err
+		}
+	}
+	h.account(h.now)
+	if len(h.deciders) > 0 {
 		// Sum decider telemetry in function-ID order, mirroring the
 		// fleet host's merge so the float fields compare exactly.
-		ids := make([]int, 0, len(deciders))
-		for id := range deciders {
+		ids := make([]int, 0, len(h.deciders))
+		for id := range h.deciders {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			h.ka.Add(deciders[id].Stats())
+			h.kaStats.Add(h.deciders[id].Stats())
 		}
 		h.kaFunctions = len(ids)
 	}
@@ -997,11 +1379,11 @@ func replayHost(ctx context.Context, cfg fleet.Config, tf *billing.Tariff, hostI
 	// admission bookkeeping; the probe arithmetic on top of it is the
 	// fleet's exported CFSProbe (the snapshot is the verified artifact).
 	tasks := make([]fleet.ProbeTask, len(h.peakTasks))
-	for i, q := range h.peakTasks {
-		tasks[i] = fleet.ProbeTask{Alloc: q.alloc, CPU: q.cpu}
+	for i, t := range h.peakTasks {
+		tasks[i] = fleet.ProbeTask{Alloc: t.alloc, CPU: t.cpu}
 	}
 	h.probeLinear, h.probeMeasured = fleet.CFSProbe(
-		cfg.Profile.SchedPeriod, cfg.Profile.SchedTickHz,
-		cfg.Host.VCPU, h.peakDemand, tasks)
-	return h
+		h.cfg.Profile.SchedPeriod, h.cfg.Profile.SchedTickHz,
+		h.cfg.Host.VCPU, h.peakDemand, tasks)
+	return nil
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"slscost/internal/billing"
 	"slscost/internal/core"
 	"slscost/internal/fleet"
 	"slscost/internal/keepalive"
@@ -191,7 +191,7 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 
 // TestVerifyStream runs the differential oracle against the streaming
 // pipeline: the streamed fleet report must be reproduced by the
-// independent per-host replay of the materialized source.
+// independent per-host replay of the same source.
 func TestVerifyStream(t *testing.T) {
 	sc, ok := scenario.ByName("bursty")
 	if !ok {
@@ -326,6 +326,106 @@ func TestVerifyStreamCancelStopsOracle(t *testing.T) {
 	}
 }
 
+// TestHostPanicFailsVerification: a panic while the oracle replays a
+// host fails VerifyStream with an error naming the host and carrying
+// the stack, and no result, instead of ending the process; and every
+// oracle worker has returned when the call does. The test seam panics
+// as a worker starts host 1.
+func TestHostPanicFailsVerification(t *testing.T) {
+	sc, ok := scenario.ByName("bursty")
+	if !ok {
+		t.Fatal("bursty scenario missing")
+	}
+	scfg := scenario.DefaultConfig()
+	scfg.Base.Requests = 3000
+	var exited atomic.Int64
+	hostStartHook = func(h int) {
+		if h == 1 {
+			panic("injected host fault")
+		}
+	}
+	workerExitHook = func() {
+		time.Sleep(20 * time.Millisecond)
+		exited.Add(1)
+	}
+	defer func() { hostStartHook, workerExitHook = nil, nil }()
+	for _, workers := range []int{1, 3} {
+		exited.Store(0)
+		cfg := fleetConfig(t, "least-loaded", core.AWS(), 4)
+		cfg.Workers = workers
+		res, _, err := VerifyStream(context.Background(), cfg, sc.Source(scfg), DefaultTolerance)
+		if err == nil {
+			t.Fatalf("workers=%d: a panicking host replay verified", workers)
+		}
+		for _, want := range []string{"host 1", "injected host fault", "(*oracle).work"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: error does not name %q:\n%v", workers, want, err)
+			}
+		}
+		if res != nil {
+			t.Errorf("workers=%d: failed verification returned a result", workers)
+		}
+		if got := exited.Load(); got != int64(workers) {
+			t.Errorf("workers=%d: %d of %d oracle workers had returned when the call did", workers, got, workers)
+		}
+	}
+}
+
+// tamperedScan is a stream whose pod scan is its source's, edited.
+type tamperedScan struct {
+	trace.Stream
+	metas []trace.PodMeta
+}
+
+func (s *tamperedScan) PodScan() []trace.PodMeta { return s.metas }
+
+// TestPodScanMismatchFailsVerification: placement reads a source's pod
+// scan, and the oracle places from the same scan as the fleet, so a
+// scan that disagrees with its own requests would pass unseen unless
+// the oracle re-derives the metadata from the stream. A scan with one
+// pod's last end or request count off by one (the count moved to the
+// next pod, so the total holds and the fleet replays it) must fail
+// verification naming that pod.
+func TestPodScanMismatchFailsVerification(t *testing.T) {
+	sc, ok := scenario.ByName("bursty")
+	if !ok {
+		t.Fatal("bursty scenario missing")
+	}
+	scfg := scenario.DefaultConfig()
+	scfg.Base.Requests = 3000
+	src := sc.Source(scfg)
+	for _, tc := range []struct {
+		what   string
+		tamper func(metas []trace.PodMeta, k int)
+	}{
+		{"last end", func(metas []trace.PodMeta, k int) { metas[k].Last++ }},
+		{"request count", func(metas []trace.PodMeta, k int) { metas[k].NReqs++; metas[k+1].NReqs-- }},
+	} {
+		var id int
+		tampered := func() (trace.Stream, error) {
+			s, err := src()
+			if err != nil {
+				return nil, err
+			}
+			metas := slices.Clone(s.(trace.PodScanner).PodScan())
+			k := len(metas) / 2
+			tc.tamper(metas, k)
+			id = metas[k].ID
+			return &tamperedScan{Stream: s, metas: metas}, nil
+		}
+		res, _, err := VerifyStream(context.Background(), fleetConfig(t, "least-loaded", core.AWS(), 4), tampered, DefaultTolerance)
+		if err == nil {
+			t.Fatalf("%s: a scan with one pod's %s off by one verified", tc.what, tc.what)
+		}
+		if want := fmt.Sprintf("pod %d disagrees with the pod scan: %s", id, tc.what); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not say %q", tc.what, err, want)
+		}
+		if res != nil {
+			t.Errorf("%s: failed verification returned a result", tc.what)
+		}
+	}
+}
+
 // cancelAfter is a context whose Err turns to context.Canceled from its
 // n-th call on, cancelling a replay at a known poll.
 type cancelAfter struct {
@@ -343,27 +443,45 @@ func (c *cancelAfter) Err() error {
 
 // TestReplayHostPollsContext: a host's event loop polls its context
 // every cancelCheckMask+1 events, so a cancellation mid-host stops it
-// within that many events rather than at the end of the host.
+// within that many events rather than at the end of the host. Host 0's
+// interpreter is fed its arrivals one by one, as a worker feeds it.
 func TestReplayHostPollsContext(t *testing.T) {
 	tr := scenarioTrace(t, "steady", 8000)
 	cfg := fleetConfig(t, "least-loaded", core.AWS(), 2)
-	pods, err := fleet.Place(cfg, tr)
+	pods, _, err := fleet.Place(context.Background(), cfg, trace.SourceOf(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	host0 := &splitHosts(cfg.Hosts, pods, tr, &Aggregate{})[0]
-	tf := billing.Compile(cfg.Profile.Billing)
-	full := replayHost(context.Background(), cfg, &tf, 0, host0, tr)
+	o := newOracle(context.Background(), &cfg, pods)
+	replay0 := func(ctx context.Context) (*host, error) {
+		h := newHost(ctx, &cfg, &o.tf, 0, o.hostPods[0])
+		for i := range tr.Requests {
+			r := &tr.Requests[i]
+			if ps := o.state[o.slots[r.PodID]]; ps.host == 0 {
+				if err := h.arrive(ps.slot, r); err != nil {
+					return h, err
+				}
+			}
+		}
+		return h, h.finish()
+	}
+	full, err := replay0(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if full.served <= 2*(cancelCheckMask+1) {
 		t.Fatalf("host 0 served %d requests, too few to cut between polls", full.served)
 	}
 	// The first poll (event 0) passes, the second (event mask+1)
 	// cancels.
-	cut := replayHost(&cancelAfter{Context: context.Background(), n: 2}, cfg, &tf, 0, host0, tr)
+	cut, err := replay0(&cancelAfter{Context: context.Background(), n: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled host err = %v, want context.Canceled", err)
+	}
 	if cut.served > cancelCheckMask+1 {
 		t.Fatalf("cancelled host served %d of %d requests, want at most %d", cut.served, full.served, cancelCheckMask+1)
 	}
-	if _, err := replay(&cancelAfter{Context: context.Background(), n: 2}, cfg, tr); !errors.Is(err, context.Canceled) {
+	if _, err := replay(&cancelAfter{Context: context.Background(), n: 2}, cfg, trace.SourceOf(tr)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay err = %v, want context.Canceled", err)
 	}
 }

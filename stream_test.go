@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"slscost/internal/core"
 	"slscost/internal/fleet"
 	"slscost/internal/scenario"
+	"slscost/internal/scenario/diffsim"
 	"slscost/internal/trace"
 )
 
@@ -221,13 +223,42 @@ func fixedPodSource(pods, requests int) trace.Source {
 // is independent of the trace length. Latency accounting is the
 // per-request quantity that used to break this — every host retained
 // a float64 per served request (and pre-sized the slice to its request
-// count), so a 10× longer trace grew the heap by 8 bytes × requests.
-// With histogram accounting the only O(requests) state left would be a
-// regression, and the 10× run would exceed the small run by tens of
-// MB; the allowed slack is far below that signal.
+// count), so a 10× longer trace grew the heap by 8 bytes × requests,
+// ≥ 28.8 MB at the larger size. With histogram accounting the only
+// O(requests) state left would be a regression, and the 10× run would
+// exceed the small run by tens of MB; the allowed slack is far below
+// that signal.
 func TestStreamFlatHeapAcrossTraceSizes(t *testing.T) {
+	flatHeapAcrossTraceSizes(t, func(cfg fleet.Config, src trace.Source) (fleet.Report, error) {
+		return fleet.SimulateStream(context.Background(), cfg, src)
+	})
+}
+
+// TestVerifyBoundedMemory extends the flat-heap claim to the
+// differential oracle: over the same fixed pod population, the peak
+// live heap of diffsim.VerifyStream (the streamed simulation, then the
+// oracle's two passes) is independent of the trace length, and every
+// metric agrees exactly. An oracle that collected the source would
+// hold 80 bytes per request, 320 MB at the larger size, far past both
+// the slack and the absolute limit.
+func TestVerifyBoundedMemory(t *testing.T) {
+	flatHeapAcrossTraceSizes(t, func(cfg fleet.Config, src trace.Source) (fleet.Report, error) {
+		res, rep, err := diffsim.VerifyStream(context.Background(), cfg, src, diffsim.DefaultTolerance)
+		if err == nil && res.MaxRelDelta != 0 {
+			err = fmt.Errorf("max rel delta %v (first mismatch %s)", res.MaxRelDelta, res.FirstMismatch(0))
+		}
+		return rep, err
+	})
+}
+
+// flatHeapAcrossTraceSizes runs call over fixedPodSource at 400k and
+// 4M requests over 400 pods and fails t unless both runs serve every
+// request, the larger one grows the live heap by at most absLimit, and
+// it grows it by at most slack more than the smaller one.
+func flatHeapAcrossTraceSizes(t *testing.T, call func(cfg fleet.Config, src trace.Source) (fleet.Report, error)) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("multi-million-request simulations; skipped in -short")
+		t.Skip("multi-million-request runs; skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("race instrumentation distorts live-heap measurement and slows the 4.4M-request run ~10-20x")
@@ -235,7 +266,7 @@ func TestStreamFlatHeapAcrossTraceSizes(t *testing.T) {
 	const (
 		pods     = 400
 		small    = 400_000
-		large    = 4_000_000 // 10× — would carry ≥ 28.8 MB of retained latency samples
+		large    = 4_000_000 // 10×
 		slack    = 16 << 20
 		absLimit = 64 << 20
 	)
@@ -257,7 +288,7 @@ func TestStreamFlatHeapAcrossTraceSizes(t *testing.T) {
 				Overcommit: 2,
 				Seed:       20260613,
 			}
-			rep, err = fleet.SimulateStream(context.Background(), cfg, fixedPodSource(pods, requests))
+			rep, err = call(cfg, fixedPodSource(pods, requests))
 			if err != nil {
 				t.Fatal(err)
 			}
