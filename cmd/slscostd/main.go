@@ -39,7 +39,6 @@ import (
 
 	"slscost/internal/api"
 	"slscost/internal/core"
-	"slscost/internal/distsweep"
 )
 
 // readHeaderTimeout bounds how long a client may take to send a
@@ -80,15 +79,7 @@ func run(ctx context.Context, args []string, w io.Writer, ready chan<- string) e
 		return nil
 	}
 
-	// The distributed-sweep namespace registers here rather than in
-	// api.BuiltinRegistry: internal/distsweep builds on internal/api,
-	// so the daemon binary is where the two meet.
-	reg := api.BuiltinRegistry()
-	if err := reg.Register(distsweep.Method()); err != nil {
-		return err
-	}
 	srv := api.NewServer(api.ServerConfig{
-		Registry:      reg,
 		Workers:       *workers,
 		Capacity:      *capacity,
 		PlanCacheSize: *planCache,

@@ -74,6 +74,11 @@ func TestDaemonSmoke(t *testing.T) {
 	if h.Status != "ok" || h.Version != core.Version {
 		t.Fatalf("unexpected health: %+v", h)
 	}
+	// The daemon serves exactly api's built-in namespaces.
+	const builtins = "fleet.simulate, opt.pareto, opt.sweep, scenario.verify"
+	if got := strings.Join(h.Methods, ", "); got != builtins {
+		t.Fatalf("health lists methods %q, want %q", got, builtins)
+	}
 
 	const seed = 20260613
 	params := api.SweepParams{
@@ -136,23 +141,19 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 
 	log := out.String()
-	if !strings.Contains(log, "listening on http://") || !strings.Contains(log, "opt.sweep") {
-		t.Fatalf("startup log missing expected lines:\n%s", log)
-	}
-	// The distributed-sweep namespace is registered by this binary (it
-	// is not a builtin); the banner proves the wiring.
-	if !strings.Contains(log, "opt.distsweep") {
-		t.Fatalf("startup log missing opt.distsweep method:\n%s", log)
+	if !strings.Contains(log, "listening on http://") || !strings.Contains(log, "\nmethods: "+builtins+"\n") {
+		t.Fatalf("startup log missing expected lines (methods: %s):\n%s", builtins, log)
 	}
 }
 
 // TestDaemonSurvivesHostileSizes submits jobs that would size an
 // allocation from the spec: fleet.simulate jobs asking for 2^50 hosts
 // and 2^50 tenants fail with their limit named, and an adaptive
-// keep-alive histogram of 7.2e15 bins or an opt.distsweep job asking
-// for 2^40 workers fails on the unknown field, since neither setting
-// exists. None panics or exhausts memory, and the daemon goes on to
-// run the next job.
+// keep-alive histogram of 7.2e15 bins fails on the unknown field,
+// since the setting does not exist. An opt.distsweep job asking for
+// 2^40 workers is refused at admission with unknown_method, since the
+// daemon serves no such namespace. None panics or exhausts memory,
+// and the daemon goes on to run the next job.
 func TestDaemonSurvivesHostileSizes(t *testing.T) {
 	client, _ := startDaemon(t)
 	ctx := context.Background()
@@ -180,11 +181,15 @@ func TestDaemonSurvivesHostileSizes(t *testing.T) {
 		{"fleet.simulate", `{"tenants":1125899906842624,"requests":2000}`, "function budget"},
 		{"fleet.simulate", `{"keepalive":{"mode":"adaptive","seed":1,"max_idle":"2000000h","bin_width":"1ns"}}`,
 			`unknown field "max_idle"`},
-		{"opt.distsweep", `{"workers":1099511627776}`, `unknown field "workers"`},
 	} {
 		if ev := run(tc.method, tc.params); ev.State != "failed" || !strings.Contains(ev.Error, tc.limit) {
 			t.Fatalf("%s %s: job ended %q (error %q), want failed naming %q", tc.method, tc.params, ev.State, ev.Error, tc.limit)
 		}
+	}
+	seed := uint64(7)
+	_, err := client.Submit(ctx, api.JobSpec{Method: "opt.distsweep", Seed: &seed, Params: json.RawMessage(`{"workers":1099511627776}`)})
+	if apiErr := (*api.Error)(nil); !errors.As(err, &apiErr) || apiErr.Code != api.CodeUnknownMethod {
+		t.Fatalf("opt.distsweep submit: %v, want code %s", err, api.CodeUnknownMethod)
 	}
 	if ev := run("fleet.simulate", `{"hosts":4,"requests":2000}`); ev.State != "done" {
 		t.Fatalf("job after the hostile ones ended %q (error %q)", ev.State, ev.Error)

@@ -253,8 +253,7 @@ func (p SimulateParams) resolve(seed uint64, scs []scenario.Scenario) (fleet.Con
 
 // DecodeParams strictly decodes a raw params object into dst: unknown
 // fields and trailing data are errors. A nil or empty params is the
-// all-defaults object. Every method decodes its params through it,
-// opt.distsweep's included.
+// all-defaults object. Every method decodes its params through it.
 func DecodeParams(raw json.RawMessage, dst any) error {
 	if len(raw) == 0 {
 		return nil

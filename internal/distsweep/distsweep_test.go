@@ -65,6 +65,21 @@ func renderDocs(t *testing.T, sr *opt.SweepResult) (jsonDoc, csvDoc, textDoc []b
 	return j.Bytes(), c.Bytes(), x.Bytes()
 }
 
+// runLocal runs a whole distributed sweep in the test process: a
+// coordinator for cfg on an ephemeral localhost port and workers
+// protocol workers on goroutines, each evaluating on evalWorkers
+// goroutines (zero keeps the optimizer default), all through
+// Coordinator.Run, as fleetsim -distribute runs its worker processes.
+func runLocal(ctx context.Context, cfg CoordinatorConfig, workers, evalWorkers int) (*opt.SweepResult, error) {
+	coord, err := Start(cfg, "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	return coord.Run(ctx, workers, func(ctx context.Context, addr string) error {
+		return RunWorker(ctx, WorkerConfig{Addr: addr, Workers: evalWorkers})
+	})
+}
+
 // recorder captures coordinator trace events for assertions.
 type recorder struct {
 	mu     sync.Mutex
@@ -150,7 +165,7 @@ func TestDistributedMatchesSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for _, workers := range []int{1, 4} {
-		sr, err := Local(ctx, LocalConfig{Spec: spec, Workers: workers, EvalWorkers: 2})
+		sr, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: t.TempDir()}, workers, 2)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -167,15 +182,15 @@ func TestDistributedMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestLocalVerified runs Local and then Verify, the in-process
-// analogue of fleetsim -distribute -verify, and checks that Verify
+// TestLocalVerified runs a distributed sweep in the test process and
+// then Verify, the in-process analogue of fleetsim -distribute -verify, and checks that Verify
 // refuses a result the single-process sweep of its spec does not
 // reproduce.
 func TestLocalVerified(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	spec := testSpec()
-	sr, err := Local(ctx, LocalConfig{Spec: spec, Workers: 2, EvalWorkers: 2})
+	sr, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: t.TempDir()}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +287,7 @@ func TestShutdownRacesAccept(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 2, EvalWorkers: 2}); err != nil {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir}, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	for range 200 {
@@ -424,11 +439,11 @@ func TestCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 2, EvalWorkers: 2}); err != nil {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir}, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	var rec recorder
-	sr, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 1, Trace: rec.hook()})
+	sr, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir, Trace: rec.hook()}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +459,7 @@ func TestCheckpointResume(t *testing.T) {
 	other := spec
 	other.Seed++
 	var cme *CheckpointMismatchError
-	if _, err := Local(ctx, LocalConfig{Spec: other, Dir: dir, Workers: 1}); !errors.As(err, &cme) {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: other, Dir: dir}, 1, 0); !errors.As(err, &cme) {
 		t.Fatalf("got %v, want CheckpointMismatchError", err)
 	}
 }
@@ -462,7 +477,7 @@ func TestCheckpointRecovery(t *testing.T) {
 
 	// Two shards of four rows each, so a corrupted tail leaves a
 	// non-trivial durable prefix to replay against.
-	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 2, EvalWorkers: 2, Shards: 2}); err != nil {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir, Shards: 2}, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(dir, shardLogName(0))
@@ -485,7 +500,7 @@ func TestCheckpointRecovery(t *testing.T) {
 	}
 
 	var rec recorder
-	sr, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 1, Shards: 2, Trace: rec.hook()})
+	sr, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir, Shards: 2, Trace: rec.hook()}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +525,7 @@ func TestCheckpointDivergenceFails(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 2, EvalWorkers: 2, Shards: 2}); err != nil {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir, Shards: 2}, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(dir, shardLogName(0))
@@ -534,7 +549,7 @@ func TestCheckpointDivergenceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	var me *MismatchError
-	if _, err := Local(ctx, LocalConfig{Spec: spec, Dir: dir, Workers: 1, Shards: 2}); !errors.As(err, &me) {
+	if _, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: dir, Shards: 2}, 1, 0); !errors.As(err, &me) {
 		t.Fatalf("got %v, want MismatchError", err)
 	}
 }
@@ -608,7 +623,7 @@ func TestWorkerEvalFailurePropagates(t *testing.T) {
 	spec.Sweep.HostMemMB = 1 // a valid host shape no sandbox fits: every evaluation fails
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	_, err := Local(ctx, LocalConfig{Spec: spec, Workers: 1})
+	_, err := runLocal(ctx, CoordinatorConfig{Spec: spec, Dir: t.TempDir()}, 1, 0)
 	if err == nil {
 		t.Fatal("sweep on hosts no sandbox fits succeeded")
 	}

@@ -30,13 +30,10 @@
 // (the first durable write wins, and the replayed bytes must verify
 // equal, or the run fails loudly).
 //
-// Three surfaces use the package: fleetsim -sweep -distribute N
-// (spawns N local worker processes and merges), fleetsim -worker
-// -connect addr (a bare worker loop for multi-host use), and the
-// slscostd daemon's opt.distsweep namespace (method.go), which runs
-// the coordinator with in-process workers (Local) and emits the same
-// sweep document opt.sweep does. The two that start their own workers
-// do so through Coordinator.Run, the one place that decides when a
-// run with dead workers is over, and fleetsim's -verify checks the
-// merged result through Verify.
+// Two surfaces use the package: fleetsim -sweep -distribute N
+// (spawns N local worker processes and merges) and fleetsim -worker
+// -connect addr (a bare worker loop for multi-host use). The first
+// starts its workers through Coordinator.Run, the one place that
+// decides when a run with dead workers is over, and its -verify
+// checks the merged result through Verify.
 package distsweep

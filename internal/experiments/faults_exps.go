@@ -131,6 +131,6 @@ func RunFaultsExperiment(opt Options) error {
 		}
 	}
 	fmt.Fprintln(opt.W, "  every profile's eviction/kill/deferral/availability accounting is reproduced by")
-	fmt.Fprintln(opt.W, "  the independent single-threaded replay (internal/scenario/diffsim)")
+	fmt.Fprintln(opt.W, "  the independent per-host replay (internal/scenario/diffsim)")
 	return nil
 }

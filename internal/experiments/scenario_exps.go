@@ -110,7 +110,7 @@ func RunScenarioExperiment(opt Options) error {
 			return fmt.Errorf("ext-scenarios: differential verification failed: %w", v.err)
 		}
 	}
-	fmt.Fprintln(opt.W, "  every scenario's report is reproduced by an independent single-threaded replay")
+	fmt.Fprintln(opt.W, "  every scenario's report is reproduced by an independent per-host replay")
 	fmt.Fprintln(opt.W, "  (internal/scenario/diffsim) built directly on the keep-alive/billing/cfs models")
 	return nil
 }

@@ -50,10 +50,16 @@ func Place(ctx context.Context, cfg Config, src trace.Source) ([]PodAssignment, 
 			return nil, nil, err
 		}
 	}
-	pl := place(cfg, metas, podMetas(metas))
+	// placeAll reads only metas and writes only each pod's host, so
+	// the pods carry no replay metadata.
+	pods := make([]pod, len(metas))
+	for i := range pods {
+		pods[i].host = -1
+	}
+	placeAll(cfg, metas, pods)
 	out := make([]PodAssignment, len(metas))
 	for i, m := range metas {
-		out[i] = PodAssignment{PodMeta: m, Host: pl.pods[i].host}
+		out[i] = PodAssignment{PodMeta: m, Host: pods[i].host}
 	}
 	return out, s, nil
 }

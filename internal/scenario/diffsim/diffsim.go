@@ -350,10 +350,12 @@ var (
 	workerExitHook func()
 )
 
-// oracle is one replay's pass-2 state. The feeder, on the calling
-// goroutine, owns pods, state, firsts and rejected; worker w owns every
-// host h with h mod len(in) = w, and host h's slot in hosts is written
-// only by its owner. The caller reads hosts after the workers return.
+// oracle is one replay's pass-2 state. pods and hostPods are read-only
+// once built, and every host reads its pods through them. The feeder,
+// on the calling goroutine, owns state, firsts and rejected; worker w
+// owns every host h with h mod len(in) = w, and host h's slot in hosts
+// is written only by its owner. The caller reads hosts after the
+// workers return.
 type oracle struct {
 	ctx   context.Context
 	cfg   *fleet.Config
@@ -366,8 +368,8 @@ type oracle struct {
 	firsts   int
 	rejected int // requests of rejected pods
 
-	hostPods [][]fleet.PodAssignment // each host's pods, by slot on the host
-	hosts    []*host                 // nil until the host's first arrival
+	hostPods [][]int32 // each host's pods as slots in pods, by slot on the host
+	hosts    []*host   // nil until the host's first arrival
 
 	in []chan []item
 	wg sync.WaitGroup
@@ -393,7 +395,7 @@ func newOracle(ctx context.Context, cfg *fleet.Config, pods []fleet.PodAssignmen
 		pods:     pods,
 		state:    make([]podState, len(pods)),
 		slots:    make(map[int]int32, len(pods)),
-		hostPods: make([][]fleet.PodAssignment, cfg.Hosts),
+		hostPods: make([][]int32, cfg.Hosts),
 		hosts:    make([]*host, cfg.Hosts),
 		in:       make([]chan []item, min(workers, cfg.Hosts)),
 	}
@@ -407,7 +409,7 @@ func newOracle(ctx context.Context, cfg *fleet.Config, pods []fleet.PodAssignmen
 	for h := range cfg.Hosts {
 		start[h+1] += start[h]
 	}
-	byHost := make([]fleet.PodAssignment, start[cfg.Hosts])
+	byHost := make([]int32, start[cfg.Hosts])
 	for h := range o.hostPods {
 		o.hostPods[h] = byHost[start[h]:start[h]:start[h+1]]
 	}
@@ -418,7 +420,7 @@ func newOracle(ctx context.Context, cfg *fleet.Config, pods []fleet.PodAssignmen
 			continue
 		}
 		o.state[i].host, o.state[i].slot = int32(p.Host), int32(len(o.hostPods[p.Host]))
-		o.hostPods[p.Host] = append(o.hostPods[p.Host], p)
+		o.hostPods[p.Host] = append(o.hostPods[p.Host], int32(i))
 	}
 	return o
 }
@@ -594,7 +596,7 @@ func (o *oracle) work(w int) {
 				if hostStartHook != nil {
 					hostStartHook(cur)
 				}
-				h = newHost(o.ctx, o.cfg, &o.tf, cur, o.hostPods[cur])
+				h = newHost(o.ctx, o.cfg, &o.tf, cur, o.pods, o.hostPods[cur])
 				o.hosts[cur] = h
 			}
 			if err := h.arrive(it.pod, &it.r); err != nil {
@@ -871,7 +873,8 @@ type host struct {
 	tf   *billing.Tariff
 	ka   keepalive.Policy
 	idx  int
-	pods []fleet.PodAssignment
+	all  []fleet.PodAssignment // every placed pod, by slot
+	pods []int32               // this host's pods as slots in all, by slot on the host
 	rng  *stats.Rand
 
 	boxes       []sandboxState // by pod slot
@@ -940,18 +943,19 @@ type host struct {
 	kaFunctions int
 }
 
-// newHost builds host idx's interpreter over its pods and seeds the
-// fault plan's events for it. Hosts are built on their first arrival
-// only, matching the fleet's lazy host creation, so at one instant a
-// fault beats any runtime-scheduled completion or expiry, and a host
-// that serves nothing seeds nothing.
-func newHost(ctx context.Context, cfg *fleet.Config, tf *billing.Tariff, idx int, pods []fleet.PodAssignment) *host {
+// newHost builds host idx's interpreter over its pods, which are
+// slots in all, and seeds the fault plan's events for it. Hosts are
+// built on their first arrival only, matching the fleet's lazy host
+// creation, so at one instant a fault beats any runtime-scheduled
+// completion or expiry, and a host that serves nothing seeds nothing.
+func newHost(ctx context.Context, cfg *fleet.Config, tf *billing.Tariff, idx int, all []fleet.PodAssignment, pods []int32) *host {
 	h := &host{
 		ctx:         ctx,
 		cfg:         cfg,
 		tf:          tf,
 		ka:          cfg.Profile.KeepAlive,
 		idx:         idx,
+		all:         all,
 		pods:        pods,
 		rng:         stats.NewRand(fleet.ShardSeed(cfg.Seed, idx)),
 		boxes:       make([]sandboxState, len(pods)),
@@ -1087,7 +1091,7 @@ func (h *host) arrive(pi int32, r *trace.Request) error {
 // shared by live arrivals and the deferred replays a recovery
 // triggers, exactly as the fleet's arrive() serves both.
 func (h *host) admit(now time.Duration, pi int32, r *trace.Request) error {
-	p := &h.pods[pi]
+	p := &h.all[h.pods[pi]]
 	sb := &h.boxes[pi]
 	if h.deciders != nil && h.idleFrom[pi] >= 0 {
 		// Mirror the fleet's observation point: the realized idle gap
@@ -1201,7 +1205,7 @@ func (h *host) evictIdle() {
 		sb.live = false
 		sb.idle = false
 		sb.gen++ // the pending expiry never fires
-		h.fnInstances[h.pods[pi].FnID]--
+		h.fnInstances[h.all[h.pods[pi]].FnID]--
 		h.evicted++
 	}
 	h.idleHeldCPU = 0
@@ -1239,7 +1243,7 @@ func (h *host) retire() error {
 	}
 	switch ev.kind {
 	case evExpire:
-		p := &h.pods[ev.pod]
+		p := &h.all[h.pods[ev.pod]]
 		sb := &h.boxes[ev.pod]
 		h.now = ev.at
 		h.account(ev.at)
@@ -1257,7 +1261,7 @@ func (h *host) retire() error {
 
 	case evComplete:
 		f := &h.flights[ev.id]
-		p := &h.pods[ev.pod]
+		p := &h.all[h.pods[ev.pod]]
 		sb := &h.boxes[ev.pod]
 		h.now = ev.at
 		h.account(ev.at)
@@ -1329,7 +1333,7 @@ func (h *host) retire() error {
 				s.idle = false
 				s.gen++
 				s.evictOnIdle = false
-				h.fnInstances[h.pods[pi].FnID]--
+				h.fnInstances[h.all[h.pods[pi]].FnID]--
 				h.evicted++
 			}
 			h.idleHeldCPU = 0

@@ -1,9 +1,11 @@
 package diffsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -291,6 +293,60 @@ func TestExactTieAgrees(t *testing.T) {
 	}
 }
 
+// TestSparsePodIDsAgree: pod IDs are only labels. A flash-crowd trace
+// whose every pod ID p becomes 1_000_000_007 - (p*7919 mod 100003)*1000
+// (injective below 100003, since 7919 is a unit mod the prime 100003)
+// has IDs far sparser than its pods and in an order unrelated to first
+// arrival, so the fleet resolves them through its map index, not its
+// dense one, and the oracle's slots do not follow the IDs. The fleet
+// must render the report of the original trace at 1 and 3 workers, and
+// the oracle must agree with it exactly.
+func TestSparsePodIDsAgree(t *testing.T) {
+	tr := scenarioTrace(t, "flash-crowd", 20000)
+	sparse := &trace.Trace{Requests: slices.Clone(tr.Requests)}
+	ids := make(map[int]bool)
+	lo, hi := math.MaxInt, math.MinInt
+	for i := range sparse.Requests {
+		r := &sparse.Requests[i]
+		if r.PodID < 0 || r.PodID >= 100003 {
+			t.Fatalf("pod ID %d outside the remap's injective range", r.PodID)
+		}
+		r.PodID = 1_000_000_007 - (r.PodID*7919%100003)*1000
+		ids[r.PodID] = true
+		lo, hi = min(lo, r.PodID), max(hi, r.PodID)
+	}
+	if hi-lo+1 == len(ids) {
+		t.Fatalf("test construction broken: %d remapped pod IDs are dense", len(ids))
+	}
+	cfg := fleetConfig(t, "least-loaded", core.AWS(), 8)
+	render := func(tr *trace.Trace) []byte {
+		t.Helper()
+		rep, err := fleet.Simulate(cfg, tr)
+		if err != nil {
+			t.Fatalf("%d workers: %v", cfg.Workers, err)
+		}
+		if rep.Served == 0 {
+			t.Fatalf("%d workers: nothing served", cfg.Workers)
+		}
+		var b bytes.Buffer
+		rep.WriteText(&b)
+		return b.Bytes()
+	}
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		if got, want := render(sparse), render(tr); !bytes.Equal(got, want) {
+			t.Fatalf("%d workers: report over sparse pod IDs differs from the original:\n%s\nwant:\n%s", workers, got, want)
+		}
+	}
+	res, _, err := VerifyStream(context.Background(), cfg, trace.SourceOf(sparse), DefaultTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkExact(res); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifyStreamCancelStopsOracle: cancelling the context after the
 // streamed simulation has finished must stop the oracle too. The source
 // cancels on its third opening — the oracle's, after the fleet's
@@ -454,7 +510,7 @@ func TestReplayHostPollsContext(t *testing.T) {
 	}
 	o := newOracle(context.Background(), &cfg, pods)
 	replay0 := func(ctx context.Context) (*host, error) {
-		h := newHost(ctx, &cfg, &o.tf, 0, o.hostPods[0])
+		h := newHost(ctx, &cfg, &o.tf, 0, o.pods, o.hostPods[0])
 		for i := range tr.Requests {
 			r := &tr.Requests[i]
 			if ps := o.state[o.slots[r.PodID]]; ps.host == 0 {
